@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .checker import (Analysis, DiagParams, DiagVerdict, PropertyKind, check,
-                      parameter_frontier)
+from .checker import Analysis, DiagParams, DiagVerdict, PropertyKind, check
 from .diagnoser import DiagnosisEvent, Estimator, init_estimator, observe
 from .epsremoval import (SilentContext, SilentRemovalResult, desilent,
                          execution_image, max_silent_length, silent_context)

@@ -22,14 +22,45 @@ from .relations import PairRelation, product_relation, same_block
 
 
 class PropertyKind(str, enum.Enum):
-    PARAMETRIC = "parametric"
-    DIAG = "diag"
-    EVENTUAL = "eventual"
-    CRITICAL = "critical"
-    EVENTUAL_OBS = "eventual-obs"
-    CRITICAL_OBS = "critical-obs"
-    INITIAL_OBS = "initial-obs"
-    EXACT_STEP = "exact-step"
+    """The property table: one row (value, first_only, transient, observable)
+    per property, read by every module.
+
+    ``first_only``: only the first crossing must be detected (horizon 0).
+    ``transient``: the property allows a transient tau > 0.
+    ``observable``: the online estimator serves the property.
+
+    Each member is checked by the function ``check_<member name>`` below.
+    """
+
+    PARAMETRIC = ("parametric", True, True, True)
+    DIAG = ("diag", True, False, True)
+    EVENTUAL = ("eventual", False, True, True)
+    CRITICAL = ("critical", False, False, True)
+    EVENTUAL_OBS = ("eventual-obs", False, True, False)
+    CRITICAL_OBS = ("critical-obs", False, False, False)
+    INITIAL_OBS = ("initial-obs", True, False, False)
+    EXACT_STEP = ("exact-step", False, True, False)
+
+    def __new__(cls, value, first_only, transient, observable):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.first_only = first_only
+        member.transient = transient
+        member.observable = observable
+        return member
+
+    @property
+    def horizon(self) -> Optional[int]:
+        """``DiagParams.horizon`` for this property."""
+        return 0 if self.first_only else None
+
+    @classmethod
+    def parse(cls, prop) -> "PropertyKind":
+        """The member named by ``prop``; UsageError if there is none."""
+        try:
+            return cls(prop)
+        except ValueError:
+            raise UsageError("unknown property %r" % (prop,)) from None
 
 
 @dataclass(frozen=True)
@@ -141,6 +172,33 @@ def _pareto_min(tuples):
     return tuple(sorted(out))
 
 
+def _frontier(fixed: PairRelation, *series) -> tuple:
+    """Sorted Pareto-minimal index tuples (k1, ..., kd), each ki in
+    1..series[i].convergence_step, at which ``fixed`` intersected with every
+    ``series[i].at(ki)`` is empty.
+
+    Every scanned series shrinks, so emptiness is upward closed in each
+    index: per prefix of the first d - 1 indices only the least last index
+    is kept.  Each series' step relations are read once.
+    """
+    steps = [[s.at(k).bits for k in range(1, s.convergence_step + 1)] for s in series]
+    found = []
+
+    def scan(bits, prefix):
+        level = steps[len(prefix)]
+        if len(prefix) + 1 < len(steps):
+            for k, rel in enumerate(level, 1):
+                scan(bits & rel, prefix + (k,))
+            return
+        for k, rel in enumerate(level, 1):
+            if not bits & rel:
+                found.append(prefix + (k,))
+                return
+
+    scan(fixed.bits, ())
+    return _pareto_min(found)
+
+
 def _headline(frontier, make_params):
     best = min(frontier, key=lambda t: _rank(make_params(t)))
     return best, make_params(best)
@@ -153,202 +211,135 @@ def _rank(p: DiagParams):
 def check_parametric(m: Fsm, analysis: Optional[Analysis] = None) -> DiagVerdict:
     """Detection of the first crossing after a transient, with any delay."""
     a = analysis or Analysis(m)
+    kind = PropertyKind.PARAMETRIC
     bad = a.b_tilde.fixed_point & a.lam.fixed_point
     if bad:
-        return DiagVerdict(PropertyKind.PARAMETRIC, False,
+        return DiagVerdict(kind, False,
                            witness=_witness(bad, "backward-reachable and forward-maskable"))
-    sats = []
-    for b in range(1, a.b_tilde.convergence_step + 1):
-        bb = a.b_tilde.at(b)
-        for f in range(1, a.f.convergence_step + 1):
-            lhs = bb & a.f.at(f)
-            for l in range(1, a.lam.convergence_step + 1):
-                if not (lhs & a.lam.at(l)):
-                    sats.append((b, f, 1, l))
-                    break
-    frontier = _pareto_min(sats)
+    frontier = tuple((b, f, 1, l) for b, f, l in
+                     _frontier(PairRelation.full(a.m.states), a.b_tilde, a.f, a.lam))
 
     def mk(t):
         b, f, _, l = t
-        return DiagParams(b - 1, max(f, l) - 1, 0, l - 1, l - 1)
+        return DiagParams(b - 1, max(f, l) - 1, kind.horizon, l - 1, l - 1)
 
     best, params = _headline(frontier, mk)
-    return DiagVerdict(PropertyKind.PARAMETRIC, True, params=params,
-                       frontier=frontier, bfgl=best)
+    return DiagVerdict(kind, True, params=params, frontier=frontier, bfgl=best)
 
 
 def check_diag(m: Fsm, analysis: Optional[Analysis] = None) -> DiagVerdict:
     """Detection of the first crossing, with no transient allowance."""
     a = analysis or Analysis(m)
+    kind = PropertyKind.DIAG
     bad = a.s_tilde.fixed_point & a.lam.fixed_point
     if bad:
-        return DiagVerdict(PropertyKind.DIAG, False,
+        return DiagVerdict(kind, False,
                            witness=_witness(bad, "jointly reachable and forward-maskable"))
-    sats = []
-    st = a.s_tilde.fixed_point
-    for f in range(1, a.f.convergence_step + 1):
-        lhs = st & a.f.at(f)
-        for l in range(1, a.lam.convergence_step + 1):
-            if not (lhs & a.lam.at(l)):
-                sats.append((1, f, 1, l))
-                break
-    frontier = _pareto_min(sats)
+    frontier = tuple((1, f, 1, l) for f, l in _frontier(a.s_tilde.fixed_point, a.f, a.lam))
 
     def mk(t):
         _, f, _, l = t
-        return DiagParams(0, max(f, l) - 1, 0, l - 1, l - 1)
+        return DiagParams(0, max(f, l) - 1, kind.horizon, l - 1, l - 1)
 
     best, params = _headline(frontier, mk)
-    return DiagVerdict(PropertyKind.DIAG, True, params=params,
-                       frontier=frontier, bfgl=best)
+    return DiagVerdict(kind, True, params=params, frontier=frontier, bfgl=best)
 
 
 def check_eventual(m: Fsm, analysis: Optional[Analysis] = None) -> DiagVerdict:
     """Detection of every crossing occurring after a finite transient."""
     a = analysis or Analysis(m)
+    kind = PropertyKind.EVENTUAL
     bad = a.gam.fixed_point & a.lam.fixed_point
     if bad:
-        return DiagVerdict(PropertyKind.EVENTUAL, False,
+        return DiagVerdict(kind, False,
                            witness=_witness(bad, "backward-maskable and forward-maskable"))
-    sats = []
-    for b in range(1, a.b.convergence_step + 1):
-        bb = a.b.at(b)
-        for f in range(1, a.f.convergence_step + 1):
-            lhs = bb & a.f.at(f)
-            for g in range(1, a.gam.convergence_step + 1):
-                gg = a.gam.at(g)
-                for l in range(1, a.lam.convergence_step + 1):
-                    if not (lhs & gg & a.lam.at(l)):
-                        sats.append((b, f, g, l))
-                        break
-    frontier = _pareto_min(sats)
+    frontier = _frontier(PairRelation.full(a.m.states), a.b, a.f, a.gam, a.lam)
 
     def mk(t):
         b, f, g, l = t
-        return DiagParams(max(b, g) - 1, max(f, l) - 1, None, g - 1, l - 1)
+        return DiagParams(max(b, g) - 1, max(f, l) - 1, kind.horizon, g - 1, l - 1)
 
     # headline parameters are taken at the converged backward/forward indices,
     # minimizing only the uncertainty indices; smaller b or f would shrink the
-    # claimed transient below what the detection argument supports
-    b_star = a.b.convergence_step
-    f_star = a.f.convergence_step
-    lhs = a.b.fixed_point & a.f.fixed_point
-    best = min(((b_star, f_star, g, l)
-                for g in range(1, a.gam.convergence_step + 1)
-                for l in range(1, a.lam.convergence_step + 1)
-                if not (lhs & a.gam.at(g) & a.lam.at(l))),
-               key=lambda t: _rank(mk(t)))
-    return DiagVerdict(PropertyKind.EVENTUAL, True, params=mk(best),
-                       frontier=frontier, bfgl=best)
+    # claimed transient below what the detection argument supports.  Every
+    # frontier tuple has b <= b* and f <= f*, so the (g, l) that work at
+    # (b*, f*) are exactly those above some frontier tuple's (g, l).
+    b_star, f_star = a.b.convergence_step, a.f.convergence_step
+    best, params = _headline(sorted({(b_star, f_star, g, l) for _, _, g, l in frontier}), mk)
+    return DiagVerdict(kind, True, params=params, frontier=frontier, bfgl=best)
 
 
 def check_critical(m: Fsm, analysis: Optional[Analysis] = None) -> DiagVerdict:
     """Detection of every crossing with no transient allowance: the
     conjunction of the first-crossing and eventual properties."""
     a = analysis or Analysis(m)
+    kind = PropertyKind.CRITICAL
     dg = check_diag(m, a)
     if not dg.holds:
-        return DiagVerdict(PropertyKind.CRITICAL, False, witness=dg.witness)
+        return DiagVerdict(kind, False, witness=dg.witness)
     ev = check_eventual(m, a)
     if not ev.holds:
-        return DiagVerdict(PropertyKind.CRITICAL, False, witness=ev.witness)
+        return DiagVerdict(kind, False, witness=ev.witness)
     tau_e, d_e, g1_e = ev.params.tau, ev.params.delta, ev.params.gamma1
     delta = max(tau_e, d_e, dg.params.delta)
-    params = DiagParams(0, delta, None, max(tau_e, g1_e), delta)
-    return DiagVerdict(PropertyKind.CRITICAL, True, params=params,
-                       frontier=ev.frontier, bfgl=ev.bfgl)
+    params = DiagParams(0, delta, kind.horizon, max(tau_e, g1_e), delta)
+    return DiagVerdict(kind, True, params=params, frontier=ev.frontier, bfgl=ev.bfgl)
 
 
 def check_eventual_obs(m: Fsm, analysis: Optional[Analysis] = None) -> DiagVerdict:
     """Zero-delay detection of crossings after a transient."""
     a = analysis or Analysis(m)
+    kind = PropertyKind.EVENTUAL_OBS
     bad = a.b.fixed_point - a.block
     if bad:
-        return DiagVerdict(PropertyKind.EVENTUAL_OBS, False,
+        return DiagVerdict(kind, False,
                            witness=_witness(bad, "backward-indistinguishable mixed pair"))
-    lam1 = a.lam.at(1)
-    for b in range(1, a.b.convergence_step + 1):
-        for g in range(1, a.gam.convergence_step + 1):
-            if not (a.b.at(b) & a.pi & a.gam.at(g) & lam1):
-                params = DiagParams(max(b, g) - 1, 0, None, g - 1, 0)
-                return DiagVerdict(PropertyKind.EVENTUAL_OBS, True, params=params,
-                                   bfgl=(b, 1, g, 1))
-    raise AssertionError("inclusion must hold at the fixed points")
+    b, g = _frontier(a.pi & a.lam.at(1), a.b, a.gam)[0]
+    params = DiagParams(max(b, g) - 1, 0, kind.horizon, g - 1, 0)
+    return DiagVerdict(kind, True, params=params, bfgl=(b, 1, g, 1))
 
 
 def check_exact_step(m: Fsm, analysis: Optional[Analysis] = None) -> DiagVerdict:
     """Eventual detection that pins down the exact crossing step."""
     a = analysis or Analysis(m)
-    for b in range(1, a.b.convergence_step + 1):
-        for f in range(1, a.f.convergence_step + 1):
-            if (a.b.at(b) & a.f.at(f)).issubset(a.block):
-                params = DiagParams(b - 1, f - 1, None, 0, 0)
-                return DiagVerdict(PropertyKind.EXACT_STEP, True, params=params,
-                                   bfgl=(b, f, 1, 1))
+    kind = PropertyKind.EXACT_STEP
     bad = (a.b.fixed_point & a.f.fixed_point) - a.block
-    return DiagVerdict(PropertyKind.EXACT_STEP, False,
-                       witness=_witness(bad, "persistent mixed pair"))
+    if bad:
+        return DiagVerdict(kind, False, witness=_witness(bad, "persistent mixed pair"))
+    b, f = _frontier(a.block.complement(), a.b, a.f)[0]
+    params = DiagParams(b - 1, f - 1, kind.horizon, 0, 0)
+    return DiagVerdict(kind, True, params=params, bfgl=(b, f, 1, 1))
 
 
 def check_initial_obs(m: Fsm, analysis: Optional[Analysis] = None) -> DiagVerdict:
     """Exact decision about the critical set from the first observation."""
     a = analysis or Analysis(m)
+    kind = PropertyKind.INITIAL_OBS
     if not a.m.critical <= a.m.initial:
         raise UsageError("initial-state observability requires the critical "
                          "set to consist of initial states")
-    init_sq = product_relation(a.m.states, a.m.initial, a.m.initial)
-    bad = (init_sq & a.f.fixed_point) - a.block
+    mixed_init = product_relation(a.m.states, a.m.initial, a.m.initial) - a.block
+    bad = mixed_init & a.f.fixed_point
     if bad:
-        return DiagVerdict(PropertyKind.INITIAL_OBS, False,
+        return DiagVerdict(kind, False,
                            witness=_witness(bad, "forward-indistinguishable initial mixed pair"))
-    for f in range(1, a.f.convergence_step + 1):
-        if (init_sq & a.f.at(f)).issubset(a.block):
-            params = DiagParams(0, f - 1, 0, 0, 0)
-            return DiagVerdict(PropertyKind.INITIAL_OBS, True, params=params,
-                               bfgl=(1, f, 1, 1))
-    raise AssertionError("inclusion must hold at the fixed point")
+    (f,) = _frontier(mixed_init, a.f)[0]
+    params = DiagParams(0, f - 1, kind.horizon, 0, 0)
+    return DiagVerdict(kind, True, params=params, bfgl=(1, f, 1, 1))
 
 
 def check_critical_obs(m: Fsm, analysis: Optional[Analysis] = None) -> DiagVerdict:
     """Zero-delay, zero-transient decision at every step."""
     a = analysis or Analysis(m)
+    kind = PropertyKind.CRITICAL_OBS
     bad = a.s.fixed_point - a.block
     if bad:
-        return DiagVerdict(PropertyKind.CRITICAL_OBS, False,
+        return DiagVerdict(kind, False,
                            witness=_witness(bad, "jointly reachable mixed pair"))
-    params = DiagParams(0, 0, None, 0, 0)
-    return DiagVerdict(PropertyKind.CRITICAL_OBS, True, params=params, bfgl=(1, 1, 1, 1))
-
-
-_CHECKS = {
-    PropertyKind.PARAMETRIC: check_parametric,
-    PropertyKind.DIAG: check_diag,
-    PropertyKind.EVENTUAL: check_eventual,
-    PropertyKind.CRITICAL: check_critical,
-    PropertyKind.EVENTUAL_OBS: check_eventual_obs,
-    PropertyKind.CRITICAL_OBS: check_critical_obs,
-    PropertyKind.INITIAL_OBS: check_initial_obs,
-    PropertyKind.EXACT_STEP: check_exact_step,
-}
+    params = DiagParams(0, 0, kind.horizon, 0, 0)
+    return DiagVerdict(kind, True, params=params, bfgl=(1, 1, 1, 1))
 
 
 def check(m: Fsm, prop: PropertyKind, analysis: Optional[Analysis] = None) -> DiagVerdict:
-    try:
-        fn = _CHECKS[PropertyKind(prop)]
-    except ValueError:
-        raise UsageError("unknown property %r" % (prop,)) from None
-    return fn(m, analysis)
-
-
-def parameter_frontier(m: Fsm, prop: PropertyKind,
-                       analysis: Optional[Analysis] = None):
-    """Componentwise-minimal (b, f, g, l) tuples for which the property's
-    inclusion condition holds.  Only defined when the property holds."""
-    prop = PropertyKind(prop)
-    if prop not in (PropertyKind.PARAMETRIC, PropertyKind.DIAG,
-                    PropertyKind.EVENTUAL, PropertyKind.CRITICAL):
-        raise UsageError("no parameter frontier for property %s" % prop.value)
-    verdict = check(m, prop, analysis)
-    if not verdict.holds:
-        raise UsageError("property %s does not hold" % prop.value)
-    return list(verdict.frontier)
+    kind = PropertyKind.parse(prop)
+    return globals()["check_" + kind.name.lower()](m, analysis)

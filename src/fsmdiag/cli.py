@@ -9,20 +9,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from . import __version__
-from .checker import Analysis, DiagParams, check
+from .checker import Analysis, DiagParams, PropertyKind, check
 from .diagnoser import Estimator
 from .epsremoval import desilent
 from .errors import (BudgetExceededError, FsmDiagError,
                      InconsistentObservationError, ParseError, UsageError)
 from .model import fsm_to_text, load_fsm, validate
 from .oracle import Horizon, check_definition
-
-_PROPERTIES = ("parametric", "diag", "eventual", "critical",
-               "eventual-obs", "critical-obs", "initial-obs", "exact-step")
-
 
 def _state_list(text):
     return [t for t in text.replace(",", " ").split() if t]
@@ -173,8 +168,8 @@ def cmd_oracle(args):
         vals = [int(t) for t in _state_list(args.params)]
         if len(vals) != 4:
             raise UsageError("--params needs tau,delta,gamma1,gamma2")
-        horizon_t = 0 if args.property in ("parametric", "diag", "initial-obs") else None
-        params = DiagParams(vals[0], vals[1], horizon_t, vals[2], vals[3])
+        params = DiagParams(vals[0], vals[1], PropertyKind(args.property).horizon,
+                            vals[2], vals[3])
     else:
         v = check(m, args.property)
         if not v.holds:
@@ -206,6 +201,7 @@ def build_parser():
         description="Critical-state diagnosability analysis for finite state machines")
     parser.add_argument("--version", action="version", version="fsmdiag " + __version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    properties = [kind.value for kind in PropertyKind]
 
     def common(p):
         p.add_argument("file", help="machine in fsm v1 format")
@@ -226,7 +222,7 @@ def build_parser():
 
     p = sub.add_parser("check", help="decide a diagnosability property")
     common(p)
-    p.add_argument("--property", choices=_PROPERTIES, required=True)
+    p.add_argument("--property", choices=properties, required=True)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("desilent", help="eliminate silent states")
@@ -237,13 +233,13 @@ def build_parser():
 
     p = sub.add_parser("observe", help="run the online diagnoser on a stream")
     common(p)
-    p.add_argument("--property", choices=_PROPERTIES, required=True)
+    p.add_argument("--property", choices=properties, required=True)
     p.add_argument("--trace", help="space-separated symbols (default: stdin, one per line)")
     p.set_defaults(fn=cmd_observe)
 
     p = sub.add_parser("oracle", help="probe a definition by bounded enumeration")
     common(p)
-    p.add_argument("--property", choices=_PROPERTIES, required=True)
+    p.add_argument("--property", choices=properties, required=True)
     p.add_argument("--horizon", type=int, required=True, help="max execution length")
     p.add_argument("--params", help="tau,delta,gamma1,gamma2 (default: checker's)")
     p.set_defaults(fn=cmd_oracle)

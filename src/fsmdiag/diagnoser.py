@@ -14,11 +14,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .checker import DiagVerdict
+from .checker import DiagVerdict, PropertyKind
 from .errors import InconsistentObservationError, UsageError
 from .model import Fsm
-
-_OBSERVABLE = {"parametric", "diag", "eventual", "critical"}
 
 
 @dataclass(frozen=True)
@@ -32,9 +30,9 @@ class Estimator:
     """One observation session over one machine."""
 
     def __init__(self, m: Fsm, verdict: DiagVerdict):
-        prop = getattr(verdict.property, "value", verdict.property)
-        if prop not in _OBSERVABLE:
-            raise UsageError("no online diagnoser for property %r" % prop)
+        kind = PropertyKind.parse(verdict.property)
+        if not kind.observable:
+            raise UsageError("no online diagnoser for property %r" % kind.value)
         if not verdict.holds:
             raise UsageError("cannot observe a machine for which the property fails")
         b, f, g, l = verdict.bfgl
@@ -44,7 +42,7 @@ class Estimator:
         self.threshold = max(b, g) + max(f, l) - 1
         self.g = g
         self.l = l
-        self.one_shot = prop in ("parametric", "diag")
+        self.one_shot = kind.first_only
         self.k = 0
         self.events = []
         self._window = deque(maxlen=self.lag + 1)  # forward-filtered state sets

@@ -35,24 +35,29 @@ def silent_context(m: Fsm) -> SilentContext:
 
 
 def max_silent_length(m: Fsm) -> int:
-    """Length (in states) of the longest path through silent states."""
+    """Length (in states) of the longest path through silent states.
+
+    Kahn's algorithm in rounds: each round removes the silent states whose
+    silent successors are all gone, so the number of rounds is the length
+    of the longest run.  States never removed lead into a silent cycle."""
     eps = m.silent_states
-    memo = {}
-
-    def longest(s):
-        if s in memo:
-            if memo[s] is None:
-                raise PreconditionError("silent cycle through %s" % s)
-            return memo[s]
-        memo[s] = None  # mark in progress to catch cycles
-        best = 0
-        for t in m.succ(s):
-            if t in eps:
-                best = max(best, longest(t))
-        memo[s] = best + 1
-        return memo[s]
-
-    return max((longest(s) for s in eps), default=0)
+    waiting = {s: len(m.succ(s) & eps) for s in eps}
+    layer = [s for s in eps if not waiting[s]]
+    rounds = 0
+    while layer:
+        rounds += 1
+        nxt = []
+        for t in layer:
+            for p in m.pre(t):
+                if p in waiting:
+                    waiting[p] -= 1
+                    if not waiting[p]:
+                        nxt.append(p)
+        layer = nxt
+    stuck = [s for s, count in waiting.items() if count]
+    if stuck:
+        raise PreconditionError("silent cycle reachable from %s" % min(stuck))
+    return rounds
 
 
 def silent_reach_avoiding(m: Fsm, q, w) -> bool:

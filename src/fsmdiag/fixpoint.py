@@ -166,12 +166,11 @@ class ProjectedSeries:
 
 
 def _projected(base: FixpointSeries, mixed: PairRelation) -> ProjectedSeries:
+    # the symmetric closure is one-to-one on the mixed rectangle, so the
+    # projection stops changing once the last mixed pair has left the base
     fp = (base.fixed_point & mixed).symmetric_closure()
-    step = base.convergence_step
-    for k in range(1, base.convergence_step + 1):
-        if (base.at(k) & mixed).symmetric_closure() == fp:
-            step = k
-            break
+    step = max((k for idx, k in base.change_step.items() if mixed.bits >> idx & 1),
+               default=1)
     return ProjectedSeries(base, mixed, fp, step)
 
 

@@ -233,27 +233,43 @@ class ValidationReport:
 
 
 def _silent_cycle_states(m: Fsm):
-    """States of the silent-induced subgraph that lie on a cycle."""
+    """States of the silent-induced subgraph that lie on a cycle: the members
+    of its strongly connected components that contain one (Tarjan's
+    algorithm, with an explicit stack instead of recursion)."""
     silent = m.silent_states
-    color = {}  # 0 visiting, 1 done
-    on_cycle = set()
+    index, low = {}, {}
+    path, component, on_cycle = [], [], set()
 
-    def visit(s, stack):
-        color[s] = 0
-        stack.append(s)
-        for t in m.succ(s):
-            if t not in silent:
-                continue
-            if t not in color:
-                visit(t, stack)
-            elif color[t] == 0:
-                on_cycle.update(stack[stack.index(t):])
-        stack.pop()
-        color[s] = 1
+    def enter(s):
+        index[s] = low[s] = len(index)
+        component.append(s)
+        path.append((s, iter(m.succ(s) & silent)))
 
-    for s in silent:
-        if s not in color:
-            visit(s, [])
+    for root in silent:
+        if root in index:
+            continue
+        enter(root)
+        while path:
+            s, successors = path[-1]
+            for t in successors:
+                if t not in index:
+                    enter(t)
+                    break
+                if t in low:  # still on the component stack
+                    low[s] = min(low[s], index[t])
+            else:
+                path.pop()
+                if path:
+                    parent = path[-1][0]
+                    low[parent] = min(low[parent], low[s])
+                if low[s] == index[s]:
+                    members = [component.pop()]
+                    while members[-1] != s:
+                        members.append(component.pop())
+                    for t in members:
+                        del low[t]
+                    if len(members) > 1 or s in m.succ(s):
+                        on_cycle.update(members)
     return on_cycle
 
 

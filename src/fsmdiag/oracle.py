@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .checker import DiagParams, PropertyKind
 from .errors import BudgetExceededError, UsageError
 from .model import Fsm, _budget
 from .relations import PairRelation
@@ -181,9 +182,6 @@ class OracleOutcome:
         return self.status == "violated"
 
 
-_FIRST_ONLY = {"parametric", "diag", "initial-obs"}
-
-
 def check_definition(m: Fsm, prop, params, h: Horizon) -> OracleOutcome:
     """Decide a diagnosability definition by exhaustive bounded search.
 
@@ -196,8 +194,7 @@ def check_definition(m: Fsm, prop, params, h: Horizon) -> OracleOutcome:
     trailing steps they have avoided the critical set, plus one tracker per
     pending crossing that still needs its partner confirmed or refuted.
     """
-    prop = getattr(prop, "value", prop)
-    first_only = prop in _FIRST_ONLY
+    first_only = PropertyKind.parse(prop).first_only
     tau, delta = params.tau, params.delta
     g1, g2 = params.gamma1, params.gamma2
     bud = _Budget(h.budget)
@@ -346,17 +343,14 @@ def minimal_params(m: Fsm, prop, h: Horizon, cap: Optional[int] = None):
     """Smallest parameters, in lexicographic (tau, delta, gamma1, gamma2)
     order, for which check_definition finds no violation within the horizon.
     Returns None if nothing passes up to the cap."""
-    from .checker import DiagParams  # local import to avoid a cycle
-
-    prop = getattr(prop, "value", prop)
+    kind = PropertyKind.parse(prop)
     cap = cap if cap is not None else len(m.states) ** 2
-    horizon_t = 0 if prop in _FIRST_ONLY else None
-    tau_range = range(cap + 1) if prop in ("parametric", "eventual") else (0,)
+    tau_range = range(cap + 1) if kind.transient else (0,)
     for tau in tau_range:
         for delta in range(cap + 1):
             for gamma1 in range(cap + 1):
                 for gamma2 in range(min(delta, cap) + 1):
-                    p = DiagParams(tau, delta, horizon_t, gamma1, gamma2)
+                    p = DiagParams(tau, delta, kind.horizon, gamma1, gamma2)
                     if not check_definition(m, prop, p, h).violated:
                         return p
     return None

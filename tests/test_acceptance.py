@@ -10,8 +10,8 @@ import time
 from fsmdiag import (
     Analysis, DiagParams, Fsm, Horizon, check, check_definition,
     crossing_index, desilent, enum_relation, enumerate_executions,
-    execution_image, init_estimator, is_execution, output_of,
-    parameter_frontier, s_series, validate,
+    execution_image, init_estimator, is_execution, output_of, s_series,
+    validate,
 )
 from conftest import (
     make_m1, make_m2, make_silent, random_live_fsm, sym, theta,
@@ -75,7 +75,7 @@ def test_criterion_2_second_golden_machine():
 
     single = m.replace(initial=frozenset("1"))
     assert check(single, "critical").holds
-    frontier = parameter_frontier(single, "eventual")
+    frontier = check(single, "eventual").frontier
     assert not any(b == 1 and g == 1 for (b, f, g, l) in frontier)
     # compared modulo diagonal pairs and symmetric closure
     st = set(Analysis(single).s_tilde.fixed_point.pairs()) - theta(m.states)

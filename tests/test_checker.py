@@ -1,8 +1,8 @@
 import pytest
 
 from fsmdiag import (
-    Analysis, DiagParams, Fsm, PreconditionError, UsageError, check,
-    parameter_frontier,
+    Analysis, DiagParams, FixpointSeries, Fsm, PreconditionError, UsageError,
+    check,
 )
 from fsmdiag.checker import PropertyKind
 from conftest import sym, theta
@@ -140,6 +140,16 @@ class TestExactStep:
     def test_m2_fails(self, m2):
         assert not check(m2, "exact-step").holds
 
+    def test_failure_decided_at_the_fixed_points(self, m2, monkeypatch):
+        calls = []
+        at = FixpointSeries.at
+        monkeypatch.setattr(FixpointSeries, "at",
+                            lambda self, k: calls.append(k) or at(self, k))
+        v = check(m2, "exact-step")
+        assert not v.holds
+        assert v.witness[1] == "persistent mixed pair"
+        assert calls == []
+
     def test_empty_critical(self, m2):
         assert check(m2.replace(critical=frozenset()), "exact-step").holds
 
@@ -196,21 +206,21 @@ class TestCriticalObs:
 
 class TestFrontier:
     def test_m1_eventual(self, m1):
-        frontier = parameter_frontier(m1, "eventual")
+        frontier = check(m1, "eventual").frontier
         assert (2, 2, 1, 1) in frontier
 
     def test_m2_single_no_small_backward_indices(self, m2_single):
-        frontier = parameter_frontier(m2_single, "eventual")
+        frontier = check(m2_single, "eventual").frontier
         assert frontier  # nonempty since the property holds
         assert not any(b == 1 and g == 1 for (b, f, g, l) in frontier)
 
     def test_empty_critical(self, m1):
         m = m1.replace(critical=frozenset())
-        assert parameter_frontier(m, "eventual") == [(1, 1, 1, 1)]
-        assert parameter_frontier(m, "diag") == [(1, 1, 1, 1)]
+        assert check(m, "eventual").frontier == ((1, 1, 1, 1),)
+        assert check(m, "diag").frontier == ((1, 1, 1, 1),)
 
     def test_pareto_minimality(self, m1):
-        frontier = parameter_frontier(m1, "eventual")
+        frontier = check(m1, "eventual").frontier
         for t in frontier:
             for o in frontier:
                 if o != t:
@@ -219,17 +229,11 @@ class TestFrontier:
     def test_monotone_inclusion(self, m1):
         # if the condition holds at a frontier tuple, it holds at anything larger
         a = Analysis(m1)
-        for (b, f, g, l) in parameter_frontier(m1, "eventual"):
+        for (b, f, g, l) in check(m1, "eventual").frontier:
             for db in (0, 1):
                 for dl in (0, 1):
                     lhs = a.b.at(b + db) & a.f.at(f)
                     assert not (lhs & a.gam.at(g) & a.lam.at(l + dl))
-
-    def test_rejected_properties(self, m1):
-        with pytest.raises(UsageError):
-            parameter_frontier(m1, "exact-step")
-        with pytest.raises(UsageError):
-            parameter_frontier(m1, "diag")  # fails on m1
 
 
 def test_property_kind_round_trip():

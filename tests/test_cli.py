@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from fsmdiag import load_fsm, parse_fsm
+from fsmdiag import load_fsm, max_silent_length, parse_fsm
 from fsmdiag.cli import main
 from conftest import fixture_path
 
@@ -37,6 +40,25 @@ class TestValidate:
     def test_json(self, capsys):
         code, out, _ = run(capsys, "validate", M1, "--json")
         assert json.loads(out)["ok"] is True
+
+    def test_silent_cycle_states_independent_of_hash_seed(self, tmp_path):
+        # state 4 lies only on the cycle 4 -> 3 -> 1 -> 2 -> 4, which a
+        # depth-first search can close before it ever enters 4
+        path = tmp_path / "cycle.fsm"
+        path.write_text("fsm v1\nstate v output=a init\n"
+                        + "".join("state %d output=_\n" % i for i in range(1, 5))
+                        + "trans v 1\ntrans 1 2\ntrans 2 3\ntrans 3 1\n"
+                          "trans 2 4\ntrans 4 3\ntrans 3 v\n")
+        argv = [sys.executable, "-m", "fsmdiag.cli", "validate", str(path),
+                "--mode", "desilent", "--json"]
+        for seed in range(8):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            done = subprocess.run(argv, env=env, capture_output=True, text=True)
+            assert done.returncode == 1, done.stderr
+            flagged = [v["subject"] for v in json.loads(done.stdout)["violations"]
+                       if v["code"] == "silent-cycle"]
+            assert flagged == ["1", "2", "3", "4"], seed
 
 
 class TestCheck:
@@ -94,7 +116,31 @@ class TestSets:
         assert "step 1:" in out and "step 2:" in out
 
 
+def silent_chain(tmp_path, length):
+    """v0 -> e0 -> ... -> e<length - 1> -> v1 -> v0, every e silent."""
+    lines = ["fsm v1", "state v0 output=a init", "state v1 output=b"]
+    lines += ["state e%d output=_" % i for i in range(length)]
+    chain = ["v0"] + ["e%d" % i for i in range(length)] + ["v1", "v0"]
+    lines += ["trans %s %s" % pair for pair in zip(chain, chain[1:])]
+    path = tmp_path / ("chain%d.fsm" % length)
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 class TestDesilent:
+    def test_deep_silent_chain(self, capsys, tmp_path):
+        # far deeper than the interpreter's recursion limit, whichever state
+        # a search starts from
+        deep = silent_chain(tmp_path, 20000)
+        code, out, _ = run(capsys, "validate", deep, "--mode", "desilent")
+        assert code == 0
+        assert max_silent_length(load_fsm(deep)) == 20000
+        # desilent itself takes time quadratic in the run length
+        path = silent_chain(tmp_path, 1500)
+        code, out, _ = run(capsys, "desilent", path, "-o", str(tmp_path / "out.fsm"))
+        assert code == 0
+        assert parse_fsm((tmp_path / "out.fsm").read_text()).states == ("e1499~v0", "v1")
+
     def test_writes_output(self, capsys, tmp_path):
         out_file = tmp_path / "out.fsm"
         prov_file = tmp_path / "prov.json"

@@ -118,6 +118,12 @@ class TestMinimalParams:
     def test_fork_parametric_unattainable(self, fork):
         assert minimal_params(fork, "parametric", Horizon(12), cap=2) is None
 
+    def test_transient_searched_for_exact_step(self, m1):
+        # exact-step holds on m1 only after a transient (the checker's tau is 1)
+        assert check(m1, "exact-step").params.tau == 1
+        p = minimal_params(m1, "exact-step", Horizon(8), cap=2)
+        assert (p.tau, p.delta, p.gamma1, p.gamma2) == (1, 1, 0, 0)
+
 
 class TestAgreement:
     def corpus(self, rng, count=25):

@@ -75,6 +75,10 @@ def test_series_shape(m):
             assert series.at(k).is_symmetric()
             assert series.at(k + 1).issubset(series.at(k))
     assert a.lam.at(1) == a.gam.at(1)
+    for series in (a.s, a.s_tilde, a.f, a.b, a.b_tilde, a.lam, a.gam):
+        k = series.convergence_step
+        assert series.at(k) == series.fixed_point
+        assert k == 1 or series.at(k - 1) != series.fixed_point
 
 
 @given(analysis_machines(max_states=4), st.integers(1, 5))
