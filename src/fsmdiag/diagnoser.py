@@ -73,9 +73,13 @@ class Estimator:
             window = (pin, pin)
         else:
             window = (max(1, pin - (self.g - 1)), pin + self.l - 1)
-        if any(w[0] <= window[0] and window[1] <= w[1]
-               for e in self.events for w in [e.window]):
-            return None
+        # events come in increasing pin order and an event's window ends by
+        # its pin + l - 1, so only the last l events can contain this window
+        for e in reversed(self.events):
+            if e.detected_at - self.lag + self.l - 1 < window[1]:
+                break
+            if e.window[0] <= window[0] and window[1] <= e.window[1]:
+                return None
         event = DiagnosisEvent(self.k, window, window[0] == window[1])
         self.events.append(event)
         if self.one_shot:

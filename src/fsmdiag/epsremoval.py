@@ -5,7 +5,8 @@ machine without them, preserving the projected output language and the
 location of critical crossings.  Each maximal silent run is folded into a
 single fresh state named after the run's last silent state and the non-silent
 state that entered it; a run that touches the critical set folds into a
-flagged copy that joins the new critical set.
+flagged copy that joins the new critical set.  The runs are found by one
+forward search per entering state (``silent_runs``).
 """
 
 from __future__ import annotations
@@ -60,58 +61,48 @@ def max_silent_length(m: Fsm) -> int:
     return rounds
 
 
+def silent_runs(m: Fsm, w) -> set:
+    """Every (q, crossed) such that a silent run w -> ... -> q exists, with
+    crossed telling whether the run touches the critical set (w included).
+
+    A forward search over (silent state, crossed) nodes: crossed starts as
+    ``w in critical`` and turns true once the run enters a critical state.
+    Each node is expanded once, so the search costs O(silent edges) and
+    needs no length bound."""
+    critical = m.critical
+    start = w in critical
+    seen = set()
+    stack = [(t, start or t in critical) for t in m.succ(w) if m.is_silent(t)]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        s, crossed = node
+        stack.extend((t, crossed or t in critical)
+                     for t in m.succ(s) if m.is_silent(t))
+    return seen
+
+
 def silent_reach_avoiding(m: Fsm, q, w) -> bool:
     """Is q reached from w by a silent run none of whose states (w and q
-    included) is critical?  Backward sweep from q through non-critical
-    silent states, at most as deep as the longest silent run."""
+    included) is critical?"""
     eps = m.silent_states
     if q not in eps or q in m.critical:
         raise UsageError("q must be a non-critical silent state")
     if w in eps or w in m.critical:
         raise UsageError("w must be a non-critical non-silent state")
-    lam = max_silent_length(m)
-    layer = {q}
-    for _ in range(lam):
-        layer = {p for z in layer if z in eps and z not in m.critical
-                 for p in m.pre(z)}
-        if w in layer:
-            return True
-    return False
+    return (q, False) in silent_runs(m, w)
 
 
 def silent_reach_crossing(m: Fsm, q, w) -> bool:
-    """Does some silent run from w to q touch the critical set (w included)?
-
-    For each candidate run length a backward sweep from q marks the states
-    that can still reach q silently, then a forward sweep from w keeps only
-    the positions actually reachable; every state in those layers lies on a
-    complete w-to-q run, so touching the critical set anywhere suffices.
-    """
+    """Does some silent run from w to q touch the critical set (w included)?"""
     eps = m.silent_states
     if q not in eps:
         raise UsageError("q must be a silent state")
     if w in eps:
         raise UsageError("w must be a non-silent state")
-    lam = max_silent_length(m)
-    for g in range(2, lam + 2):
-        layers = [{q}]
-        for _ in range(g - 2):
-            layers.append({p for z in layers[-1] for p in m.pre(z) if p in eps})
-        layers.reverse()  # layers[k] = position k + 2 of a length-g run
-        v = {w} if any(w in m.pre(z) for z in layers[0]) else set()
-        if not v:
-            continue
-        touched = set(v)
-        ok = True
-        for lay in layers:
-            v = {t for s in v for t in m.succ(s)} & lay
-            if not v:
-                ok = False
-                break
-            touched |= v
-        if ok and touched & m.critical:
-            return True
-    return False
+    return (q, True) in silent_runs(m, w)
 
 
 @dataclass(frozen=True)
@@ -172,7 +163,9 @@ def desilent(m: Fsm) -> SilentRemovalResult:
     state) pair, in a plain variant when some such run avoids the critical
     set and a flagged variant when some run touches it; the flagged variants
     make up the new critical states together with the surviving old ones.
-    Silent states and the states left without successors are then dropped.
+    The variants come from one ``silent_runs`` search per entering state and
+    are named in (q, w, crossed) order.  Silent states and the states left
+    without successors are then dropped.
     """
     report = validate(m, "desilent")
     if not report.ok:
@@ -186,18 +179,13 @@ def desilent(m: Fsm) -> SilentRemovalResult:
     ctx = silent_context(m0)
     used = set(m0.states)
 
-    new = {}  # (q, w, crossed) -> fresh name
-    new_initial = set()
-    for q in sorted(ctx.x_l):
-        for w in sorted(ctx.x_f):
-            if (q not in m0.critical and w not in m0.critical
-                    and silent_reach_avoiding(m0, q, w)):
-                new[(q, w, False)] = _fresh("%s~%s" % (q, w), used)
-            if silent_reach_crossing(m0, q, w):
-                new[(q, w, True)] = _fresh("%s~%s+" % (q, w), used)
-            for key in ((q, w, False), (q, w, True)):
-                if key in new and w in m0.initial:
-                    new_initial.add(new[key])
+    new = {}  # (q, w, crossed) -> fresh name, q-major, plain before flagged
+    for q, w, crossed in sorted((q, w, crossed) for w in ctx.x_f
+                                for q, crossed in silent_runs(m0, w)
+                                if q in ctx.x_l):
+        new[(q, w, crossed)] = _fresh(
+            "%s~%s%s" % (q, w, "+" if crossed else ""), used)
+    new_initial = {name for (q, w, c), name in new.items() if w in m0.initial}
 
     by_entry = {}  # w -> names of fresh states entered through w
     for (q, w, crossed), name in new.items():

@@ -160,6 +160,8 @@ def parse_fsm(text: str) -> Fsm:
             out = None
             for flag in toks[2:]:
                 if flag.startswith("output="):
+                    if out is not None:
+                        raise ParseError("line %d: state %r repeats output=" % (lineno, sid))
                     out = flag[len("output="):]
                 elif flag == "init":
                     initial.add(sid)
@@ -202,8 +204,13 @@ def fsm_to_text(m: Fsm) -> str:
 
 
 def load_fsm(path) -> Fsm:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_fsm(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s is not UTF-8 text (byte %d)" % (path, exc.start)) from None
+    return parse_fsm(text)
 
 
 # -- validation ------------------------------------------------------------

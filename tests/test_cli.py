@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from fsmdiag import load_fsm, max_silent_length, parse_fsm
 from fsmdiag.cli import main
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 
 
 def run(capsys, *argv):
@@ -16,6 +18,8 @@ def run(capsys, *argv):
     return code, out, err
 
 
+FIXTURE_FILES = sorted(os.path.join(FIXTURES, f)
+                       for f in os.listdir(FIXTURES) if f.endswith(".fsm"))
 M1 = fixture_path("m1.fsm")
 M2 = fixture_path("m2.fsm")
 FORK = fixture_path("fork.fsm")
@@ -135,11 +139,9 @@ class TestDesilent:
         code, out, _ = run(capsys, "validate", deep, "--mode", "desilent")
         assert code == 0
         assert max_silent_length(load_fsm(deep)) == 20000
-        # desilent itself takes time quadratic in the run length
-        path = silent_chain(tmp_path, 1500)
-        code, out, _ = run(capsys, "desilent", path, "-o", str(tmp_path / "out.fsm"))
+        code, out, _ = run(capsys, "desilent", deep, "-o", str(tmp_path / "out.fsm"))
         assert code == 0
-        assert parse_fsm((tmp_path / "out.fsm").read_text()).states == ("e1499~v0", "v1")
+        assert parse_fsm((tmp_path / "out.fsm").read_text()).states == ("e19999~v0", "v1")
 
     def test_writes_output(self, capsys, tmp_path):
         out_file = tmp_path / "out.fsm"
@@ -237,3 +239,44 @@ def test_parse_error_exit_code(capsys, tmp_path):
     bad.write_text("not a machine\n")
     code = main(["check", str(bad), "--property", "diag"])
     assert code == 2
+
+
+@pytest.mark.parametrize("content", [
+    b"fsm v1\nstate 1 output=a\xff init\ntrans 1 1\n",
+    b"fsm v1\nstate 1 output=a output=b init\ntrans 1 1\n",
+], ids=["not-utf8", "repeated-output"])
+def test_malformed_file_exit_code(capsys, tmp_path, content):
+    bad = tmp_path / "bad.fsm"
+    bad.write_bytes(content)
+    for argv in (["validate", str(bad)], ["check", str(bad), "--property", "diag"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@st.composite
+def corrupted_fixtures(draw):
+    """A fixture file with a few bytes flipped, inserted or deleted."""
+    with open(draw(st.sampled_from(FIXTURE_FILES)), "rb") as fh:
+        data = bytearray(fh.read())
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(("flip", "insert", "delete")))
+        i = draw(st.integers(0, len(data) - (op != "insert")))
+        if op == "flip":
+            data[i] ^= 1 << draw(st.integers(0, 7))
+        elif op == "insert":
+            data.insert(i, draw(st.integers(0, 255)))
+        else:
+            del data[i]
+    return bytes(data)
+
+
+@given(corrupted_fixtures())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_corrupted_files_exit_cleanly(capsys, tmp_path, data):
+    path = tmp_path / "corrupt.fsm"
+    path.write_bytes(data)
+    for argv in (["validate", str(path)], ["check", str(path), "--property", "diag"]):
+        code, _, _ = run(capsys, *argv)
+        assert code in (0, 1, 2)

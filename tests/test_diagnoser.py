@@ -1,7 +1,7 @@
 import pytest
 
 from fsmdiag import (
-    Estimator, InconsistentObservationError, UsageError, check,
+    Estimator, Fsm, InconsistentObservationError, UsageError, check,
     crossing_index, enumerate_executions, init_estimator, observe,
 )
 
@@ -105,6 +105,41 @@ class TestCurrentEstimate:
     def test_requires_observation(self, m1, m1_verdict):
         with pytest.raises(UsageError):
             init_estimator(m1, m1_verdict).current_estimate()
+
+
+def test_long_critical_stream_events():
+    # the walk 2 3 2 3 ... never leaves the critical cycle; every other
+    # step's exact window ends where the wide window one step earlier ends,
+    # so the containment test must reach back exactly l - 1 steps
+    m = Fsm("123", "123", {"1": "b", "2": "a", "3": "b"},
+            [("1", "2"), ("2", "1"), ("2", "3"), ("3", "1"), ("3", "2")],
+            {"2", "3"})
+    verdict = check(m, "eventual")
+    symbols = [m.label[s] for s in "23" * 10500]
+    _, events = observe(m, verdict, symbols)
+
+    est = init_estimator(m, verdict)
+    width = est.g + est.l  # every window spans fewer steps than this
+    seen, expected = set(), []
+    for y in symbols:
+        est.step(y)
+        now = est.current_estimate() if est.k >= est.threshold else set()
+        if not now & m.critical:
+            continue
+        pin = est.k - est.lag
+        if now <= m.critical:
+            lo, hi = pin, pin
+        else:
+            lo, hi = max(1, pin - (est.g - 1)), pin + est.l - 1
+        assert hi - lo < width
+        # contained in any earlier event's window, however old
+        if any((a, b) in seen for a in range(lo - width, lo + 1)
+               for b in range(hi, hi + width)):
+            continue
+        seen.add((lo, hi))
+        expected.append((est.k, (lo, hi)))
+    assert len(expected) < est.k - est.threshold  # some windows were dropped
+    assert [(e.detected_at, e.window) for e in events] == expected
 
 
 def detection_sweep(m, verdict, max_len):

@@ -1,5 +1,6 @@
 import pytest
 
+from fsmdiag import epsremoval
 from fsmdiag import (
     Fsm, PreconditionError, UsageError, desilent, execution_image,
     is_execution, max_silent_length, output_of, silent_context,
@@ -135,6 +136,20 @@ class TestDesilent:
         for m in (silent_machine, dead_branch):
             mh = desilent(m).m_hat
             assert output_language(m, 8) == output_language(mh, 8)
+
+    def test_one_max_silent_length_call(self, silent_machine, dead_branch,
+                                        monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return max_silent_length(m)
+
+        monkeypatch.setattr(epsremoval, "max_silent_length", counted)
+        for m in (silent_machine, dead_branch):
+            calls.clear()
+            desilent(m)
+            assert len(calls) <= 1
 
     def test_validation_enforced(self):
         m = Fsm("ab", "a", {"a": "x", "b": "_"}, [("a", "b"), ("b", "b")])

@@ -80,6 +80,7 @@ class TestTextFormat:
         "fsm v1\nstate a output=x\ntrans a b\n",
         "fsm v1\ntrans a\n",
         "fsm v1\nfrobnicate a\n",
+        "fsm v1\nstate a output=x output=y\n",   # output= twice
     ])
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):

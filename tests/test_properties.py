@@ -4,9 +4,10 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, assume, given, settings
 
 from fsmdiag import (
-    Analysis, Fsm, PairRelation, check, desilent, enum_relation, fsm_to_text,
-    parse_fsm, validate,
+    Analysis, Fsm, PairRelation, check, desilent, enum_relation,
+    enumerate_executions, fsm_to_text, max_silent_length, parse_fsm, validate,
 )
+from fsmdiag.epsremoval import silent_runs
 from test_epsremoval import output_language
 
 COMMON = settings(max_examples=60, deadline=None,
@@ -127,3 +128,19 @@ def test_desilent_language_preserved(m):
     result = desilent(m)
     assert not result.m_hat.silent_states
     assert output_language(m, 5) == output_language(result.m_hat, 5)
+
+
+@given(machines(allow_silent=True))
+@COMMON
+def test_silent_runs_match_enumeration(m):
+    assume(validate(m, "desilent").ok)
+    lam = max_silent_length(m)
+    for w in m.states:
+        if m.is_silent(w):
+            continue
+        runs = set()
+        for length in range(2, lam + 2):
+            for x in enumerate_executions(m, [w], length):
+                if all(m.is_silent(s) for s in x[1:]):
+                    runs.add((x[-1], any(s in m.critical for s in x)))
+        assert silent_runs(m, w) == runs
