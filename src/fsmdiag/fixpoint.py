@@ -12,6 +12,14 @@ package:
 * ``lambda_series`` / ``gamma_series``: mixed critical/non-critical pairs
   whose non-critical side can keep avoiding the critical set forward
   (resp. backward) while staying indistinguishable.
+
+All five walk the pair graph, whose nodes are ordered state pairs and whose
+edges join (i, j) to (a, b) for a a neighbour of i and b one of j, over the
+machine's integer adjacency (``Fsm.adjacency``).  ``s_series`` is a worklist.
+The four shrinking recursions share one counter engine, ``_shrink``, in the
+manner of AC-4 arc consistency: each pair counts its supports once, and
+removals proceed layer by layer, so every pair leaves at the same step as in
+the synchronous recursion while the work is O(edges of the pair graph).
 """
 
 from __future__ import annotations
@@ -20,7 +28,9 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError, UsageError
 from .model import Fsm
-from .relations import FixpointSeries, PairRelation, product_relation
+from .relations import (
+    FixpointSeries, PairRelation, bit_flags, bit_indices, flag_bits, product_relation,
+)
 
 
 def compute_pi(m: Fsm) -> PairRelation:
@@ -34,91 +44,99 @@ def compute_pi(m: Fsm) -> PairRelation:
     return rel
 
 
-def _decode(states, idx):
-    n = len(states)
-    return states[idx // n], states[idx % n]
-
-
 def s_series(m: Fsm) -> FixpointSeries:
     """Joint forward reachability under equal outputs, seeded at X0 x X0.
 
-    Grows monotonically; a worklist propagates only newly added pairs, so the
-    cost is linear in the number of transition pairs rather than steps times
-    relation size.  Liveness is not required.
+    Grows monotonically; a worklist over the machine's integer adjacency
+    propagates only newly added pairs, so the cost is linear in the number
+    of transition pairs rather than steps times relation size.  Liveness is
+    not required.
     """
     states = m.states
     n = len(states)
-    index = {s: i for i, s in enumerate(states)}
-    pi = compute_pi(m)
-    first = product_relation(states, m.initial, m.initial) & pi
-    bits = first.bits
-    frontier = [low.bit_length() - 1 for low in _iter_lowbits(first.bits)]
+    succ, _ = m.adjacency
+    label = [m.label[s] for s in states]
+    first = product_relation(states, m.initial, m.initial) & compute_pi(m)
+    seen = bit_flags(first.bits, n * n)
+    frontier = bit_indices(first.bits)
     added = {}
     step = 1
     while frontier:
         nxt = []
-        for idx in frontier:
-            i, j = _decode(states, idx)
-            for a in m.succ(i):
-                la = m.label[a]
-                ia = index[a] * n
-                for b in m.succ(j):
-                    if m.label[b] != la:
-                        continue
-                    pidx = ia + index[b]
-                    if not bits >> pidx & 1:
-                        bits |= 1 << pidx
-                        added[pidx] = step + 1
-                        nxt.append(pidx)
+        for p in frontier:
+            i, j = divmod(p, n)
+            succ_j = succ[j]
+            for a in succ[i]:
+                la = label[a]
+                row = a * n
+                for b in succ_j:
+                    q = row + b
+                    if label[b] == la and not seen[q]:
+                        seen[q] = 1
+                        added[q] = step + 1
+                        nxt.append(q)
         if nxt:
             step += 1
         frontier = nxt
-    fp = PairRelation(states, bits)
+    fp = PairRelation(states, flag_bits(seen))
     return FixpointSeries("grow", first, fp, step, added)
 
 
-def _iter_lowbits(bits):
-    while bits:
-        low = bits & -bits
-        yield low
-        bits ^= low
+def _shrink(m: Fsm, first: PairRelation, forward: bool) -> FixpointSeries:
+    """Run R_{k+1} = {(i,j) in R_k : (N(i) x N(j)) cap R_k nonempty}, N being
+    the successor map if ``forward`` and the predecessor map otherwise.
 
-
-def _shrink(m: Fsm, first: PairRelation, neighbors) -> FixpointSeries:
-    """Run R_{k+1} = {(i,j) in R_k : (N(i) x N(j)) cap R_k nonempty}."""
-    states = m.states
-    n = len(states)
-    index = {s: i for i, s in enumerate(states)}
-    cur = first.bits
+    A counter engine in the manner of AC-4 arc consistency.  Each pair of
+    R_1 counts its supports, the pairs of N(i) x N(j) inside R_1, once.  The
+    pairs with no support form the removal layer of step 2.  A layer is
+    marked dead as a whole; then every dead pair (a, b) takes one support
+    from each live pair of B(a) x B(b), B being the reverse of N, and the
+    pairs whose count reaches 0 form the next layer.  A pair is thus removed
+    at step k + 1 exactly when its last support left R_k, as in the
+    synchronous recursion, and the whole run costs O(edges of the pair graph
+    inside R_1).  Memory is a count and a flag per pair, O(|X|^2).
+    """
+    succ, pre = m.adjacency
+    nbr, back = (succ, pre) if forward else (pre, succ)
+    n = len(m.states)
+    alive = bit_flags(first.bits, n * n)
+    count = [0] * (n * n)
+    layer = []
+    for p in bit_indices(first.bits):
+        i, j = divmod(p, n)
+        nbr_j = nbr[j]
+        c = 0
+        for a in nbr[i]:
+            row = a * n
+            for b in nbr_j:
+                c += alive[row + b]
+        count[p] = c
+        if not c:
+            layer.append(p)
     removed = {}
     k = 1
-    while True:
-        nxt = 0
-        for low in _iter_lowbits(cur):
-            idx = low.bit_length() - 1
-            i, j = _decode(states, idx)
-            hit = False
-            for a in neighbors(i):
-                ia = index[a] * n
-                for b in neighbors(j):
-                    if cur >> (ia + index[b]) & 1:
-                        hit = True
-                        break
-                if hit:
-                    break
-            if hit:
-                nxt |= low
-        if nxt == cur:
-            fp = PairRelation(states, cur)
-            return FixpointSeries("shrink", first, fp, k, removed,
-                                  emptied_at=k if cur == 0 and first.bits else None)
+    while layer:
         k += 1
-        for low in _iter_lowbits(cur & ~nxt):
-            removed[low.bit_length() - 1] = k
-        cur = nxt
-        if cur == 0:
-            fp = PairRelation(states, 0)
-            return FixpointSeries("shrink", first, fp, k, removed, emptied_at=k)
+        for p in layer:
+            alive[p] = 0
+            removed[p] = k
+        nxt = []
+        for p in layer:
+            a, b = divmod(p, n)
+            back_b = back[b]
+            for i in back[a]:
+                row = i * n
+                for j in back_b:
+                    q = row + j
+                    if alive[q]:
+                        c = count[q] - 1
+                        count[q] = c
+                        if not c:
+                            nxt.append(q)
+        layer = nxt
+    fp = PairRelation(m.states, flag_bits(alive))
+    emptied = k if not fp and first else None
+    return FixpointSeries("shrink", first, fp, k, removed, emptied_at=emptied)
 
 
 def f_series(m: Fsm) -> FixpointSeries:
@@ -131,7 +149,7 @@ def f_series(m: Fsm) -> FixpointSeries:
         if not m.succ(s):
             raise PreconditionError("state %s has no successor; forward "
                                     "indistinguishability needs liveness" % s)
-    return _shrink(m, compute_pi(m), m.succ)
+    return _shrink(m, compute_pi(m), True)
 
 
 def b_series(m: Fsm, sigma: PairRelation) -> FixpointSeries:
@@ -143,7 +161,7 @@ def b_series(m: Fsm, sigma: PairRelation) -> FixpointSeries:
         raise UsageError("seed relation must only relate equal-output states")
     if not sigma.is_symmetric():
         raise UsageError("seed relation must be symmetric")
-    return _shrink(m, sigma, m.pre)
+    return _shrink(m, sigma, False)
 
 
 @dataclass(frozen=True)
@@ -183,7 +201,7 @@ def lambda_series(m: Fsm, s_star: PairRelation) -> ProjectedSeries:
     """Mixed pairs extendable forward indistinguishably with the non-critical
     side avoiding the critical set throughout."""
     seed = _avoid_seed(m, s_star)
-    base = _shrink(m, seed, m.succ)
+    base = _shrink(m, seed, True)
     mixed = product_relation(m.states, m.critical,
                              [s for s in m.states if s not in m.critical])
     return _projected(base, mixed)
@@ -192,7 +210,7 @@ def lambda_series(m: Fsm, s_star: PairRelation) -> ProjectedSeries:
 def gamma_series(m: Fsm, s_star: PairRelation) -> ProjectedSeries:
     """Backward counterpart of lambda_series, stepping through predecessors."""
     seed = _avoid_seed(m, s_star)
-    base = _shrink(m, seed, m.pre)
+    base = _shrink(m, seed, False)
     mixed = product_relation(m.states, m.critical,
                              [s for s in m.states if s not in m.critical])
     return _projected(base, mixed)

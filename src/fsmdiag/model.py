@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError, ParseError, UsageError
@@ -91,6 +92,17 @@ class Fsm:
             return self._pre[i]
         except KeyError:
             raise UsageError("unknown state %r" % (i,)) from None
+
+    @cached_property
+    def adjacency(self):
+        """``(succ, pre)``: for each state by its position in ``states``, the
+        sorted positions of its successors (resp. predecessors).  Built once
+        per machine; the fixed-point engines walk the pair graph over it."""
+        index = {s: i for i, s in enumerate(self.states)}
+
+        def positions(step):
+            return tuple(tuple(sorted(index[t] for t in step(s))) for s in self.states)
+        return positions(self.succ), positions(self.pre)
 
     def is_silent(self, i):
         return self.label[i] == EPSILON

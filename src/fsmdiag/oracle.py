@@ -45,11 +45,12 @@ class _Budget:
             raise BudgetExceededError("oracle budget of %d operations exceeded" % self.cap)
 
 
-def _joint_exists(m, i, j, k, step, avoid, memo, budget):
+def _joint_exists(m, i, j, k, step, within, avoid, memo, budget):
     """Is there a pair of executions of length k from (i, j), stepping with
-    ``step`` (succ or pre), with equal outputs at every position, the second
-    one avoiding the critical set throughout if ``avoid``?"""
-    if m.label[i] != m.label[j]:
+    ``step`` (succ or pre), whose pairs of states all lie in ``within``, the
+    second one avoiding the critical set throughout if ``avoid``?  With
+    ``within`` = Pi this asks for equal outputs at every position."""
+    if (i, j) not in within:
         return False
     if avoid and j in m.critical:
         return False
@@ -62,31 +63,7 @@ def _joint_exists(m, i, j, k, step, avoid, memo, budget):
     out = False
     for a in step(i):
         for b in step(j):
-            if _joint_exists(m, a, b, k - 1, step, avoid, memo, budget):
-                out = True
-                break
-        if out:
-            break
-    memo[key] = out
-    return out
-
-
-def _joint_exists_in(m, i, j, k, step, sigma, avoid, memo, budget):
-    """Like _joint_exists but every visited pair must lie in sigma."""
-    if (i, j) not in sigma:
-        return False
-    if avoid and j in m.critical:
-        return False
-    if k == 1:
-        return True
-    key = (i, j, k)
-    if key in memo:
-        return memo[key]
-    budget.spend()
-    out = False
-    for a in step(i):
-        for b in step(j):
-            if _joint_exists_in(m, a, b, k - 1, step, sigma, avoid, memo, budget):
+            if _joint_exists(m, a, b, k - 1, step, within, avoid, memo, budget):
                 out = True
                 break
         if out:
@@ -110,6 +87,8 @@ def enum_relation(m: Fsm, which: str, k: int,
     bud = _Budget(budget)
     states = m.states
     omega = m.critical
+    pi = PairRelation.from_pairs(states, [(i, j) for i in states for j in states
+                                          if m.label[i] == m.label[j]])
     pairs = set()
 
     if which == "S":
@@ -133,12 +112,12 @@ def enum_relation(m: Fsm, which: str, k: int,
         memo = {}
         for i in states:
             for j in states:
-                if _joint_exists(m, i, j, k, m.succ, False, memo, bud):
+                if _joint_exists(m, i, j, k, m.succ, pi, False, memo, bud):
                     pairs.add((i, j))
     elif which == "B":
         memo = {}
         for (i, j) in sigma.pairs():
-            if _joint_exists_in(m, i, j, k, m.pre, sigma, False, memo, bud):
+            if _joint_exists(m, i, j, k, m.pre, sigma, False, memo, bud):
                 pairs.add((i, j))
     elif which == "Lambda":
         memo = {}
@@ -146,7 +125,7 @@ def enum_relation(m: Fsm, which: str, k: int,
             for j in states:
                 if j in omega or (i, j) not in sigma:
                     continue
-                if _joint_exists(m, i, j, k, m.succ, True, memo, bud):
+                if _joint_exists(m, i, j, k, m.succ, pi, True, memo, bud):
                     pairs.add((i, j))
                     pairs.add((j, i))
     elif which == "Gamma":
@@ -155,7 +134,7 @@ def enum_relation(m: Fsm, which: str, k: int,
             for j in states:
                 if j in omega:
                     continue
-                if _joint_exists_in(m, i, j, k, m.pre, sigma, True, memo, bud):
+                if _joint_exists(m, i, j, k, m.pre, sigma, True, memo, bud):
                     pairs.add((i, j))
                     pairs.add((j, i))
     else:

@@ -8,9 +8,34 @@ relation occupies O(|X|^2) bits regardless of how full it is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import UsageError
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def bit_flags(bits: int, size: int = 0) -> bytearray:
+    """Byte i is bit i of ``bits`` (0 or 1), for at least ``size`` bytes."""
+    return bytearray(bin(bits)[:1:-1].ljust(size, "0"), "ascii").translate(_FLAGS)
+
+
+def flag_bits(flags) -> int:
+    """Inverse of :func:`bit_flags`: the integer whose bit i is flags[i]."""
+    return int(flags[::-1].translate(_DIGITS), 2)
+
+
+def bit_indices(bits: int) -> list:
+    """Indices of the set bits of a nonnegative integer, ascending.
+
+    One pass over the binary text, so the cost is linear in the bit length
+    however many bits are set.
+    """
+    flags = bit_flags(bits)
+    return list(compress(range(len(flags)), flags))
 
 
 class PairRelation:
@@ -82,15 +107,9 @@ class PairRelation:
 
     def pairs(self) -> list:
         """Sorted list of (state, state) pairs."""
-        out = []
         n = self.n
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            idx = low.bit_length() - 1
-            out.append((self.states[idx // n], self.states[idx % n]))
-            bits ^= low
-        return out
+        states = self.states
+        return [(states[idx // n], states[idx % n]) for idx in bit_indices(self.bits)]
 
     def __repr__(self):
         return "PairRelation(%r)" % (self.pairs(),)
@@ -123,14 +142,10 @@ class PairRelation:
 
     def symmetric_closure(self):
         n = self.n
-        bits = self.bits
-        extra = 0
-        while bits:
-            low = bits & -bits
-            idx = low.bit_length() - 1
-            extra |= 1 << ((idx % n) * n + idx // n)
-            bits ^= low
-        return PairRelation(self.states, self.bits | extra)
+        transposed = bytearray(n * n)
+        for idx in bit_indices(self.bits):
+            transposed[(idx % n) * n + idx // n] = 1
+        return PairRelation(self.states, self.bits | flag_bits(transposed))
 
     def is_symmetric(self):
         return self.bits == self.symmetric_closure().bits

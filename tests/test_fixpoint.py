@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fsmdiag import (
@@ -171,3 +173,34 @@ def test_convergence_bound(m1, m2, m2_single, fork):
         for series in (s_series(m), f_series(m), b_series(m, s_star),
                        lambda_series(m, s_star), gamma_series(m, s_star)):
             assert series.convergence_step < n2
+
+
+class CountingFsm(Fsm):
+    """Counts every successor and predecessor lookup."""
+
+    lookups = 0
+
+    def succ(self, i):
+        self.lookups += 1
+        return super().succ(i)
+
+    def pre(self, i):
+        self.lookups += 1
+        return super().pre(i)
+
+
+def test_neighbour_lookups_per_state():
+    # the series walk the machine's integer adjacency, built once from a
+    # single lookup per state and direction, instead of asking for the
+    # neighbours of both members of every pair on every round
+    rng = random.Random(3)
+    states = ["s%02d" % i for i in range(60)]
+    label = {s: rng.choice("abc") for s in states}
+    trans = [(s, t) for s in states for t in rng.sample(states, 2)]
+    m = CountingFsm(states, states[:20], label, trans, states[:6])
+    s_star = s_series(m).fixed_point
+    for run in (lambda: f_series(m), lambda: lambda_series(m, s_star),
+                lambda: b_series(m, s_star), lambda: gamma_series(m, s_star)):
+        m.lookups = 0
+        run()
+        assert m.lookups <= 3 * len(states)

@@ -8,6 +8,7 @@ from fsmdiag import (
     enumerate_executions, fsm_to_text, max_silent_length, parse_fsm, validate,
 )
 from fsmdiag.epsremoval import silent_runs
+from fsmdiag.fixpoint import _avoid_seed, _shrink, compute_pi, s_series
 from test_epsremoval import output_language
 
 COMMON = settings(max_examples=60, deadline=None,
@@ -80,6 +81,47 @@ def test_series_shape(m):
         k = series.convergence_step
         assert series.at(k) == series.fixed_point
         assert k == 1 or series.at(k - 1) != series.fixed_point
+
+
+def reference_shrink(m, seed, step):
+    """Every step of R_{k+1} = {(i,j) in R_k : (N(i) x N(j)) cap R_k nonempty},
+    N = ``step``, computed plainly until it repeats."""
+    steps = [set(seed.pairs())]
+    while True:
+        cur = steps[-1]
+        nxt = {(i, j) for (i, j) in cur
+               if any((a, b) in cur for a in step(i) for b in step(j))}
+        if nxt == cur:
+            return steps
+        steps.append(nxt)
+
+
+@given(machines(max_states=6, outputs="abc"), st.booleans(),
+       st.sampled_from(["pi", "s_star", "avoid", "empty", "random"]), st.data())
+@COMMON
+def test_shrink_matches_synchronous_recursion(m, forward, which, data):
+    states = m.states
+    if which == "pi":
+        seed = compute_pi(m)
+    elif which == "s_star":
+        seed = s_series(m).fixed_point
+    elif which == "avoid":
+        seed = _avoid_seed(m, s_series(m).fixed_point)
+    elif which == "empty":
+        seed = PairRelation(states)
+    else:  # any relation, symmetric or not
+        pair = st.tuples(st.sampled_from(states), st.sampled_from(states))
+        seed = PairRelation.from_pairs(states, data.draw(st.sets(pair)))
+    series = _shrink(m, seed, forward)
+    steps = reference_shrink(m, seed, m.succ if forward else m.pre)
+    assert series.convergence_step == len(steps)
+    for k in range(1, len(steps) + 2):
+        assert set(series.at(k).pairs()) == steps[min(k, len(steps)) - 1]
+    assert series.emptied_at == (len(steps) if steps[0] and not steps[-1] else None)
+    n = len(states)
+    removed = {states.index(i) * n + states.index(j): k + 1
+               for k in range(1, len(steps)) for (i, j) in steps[k - 1] - steps[k]}
+    assert series.change_step == removed
 
 
 @given(analysis_machines(max_states=4), st.integers(1, 5))

@@ -1,7 +1,7 @@
 import pytest
 
 from fsmdiag import PairRelation, UsageError, product_relation, same_block
-from fsmdiag.relations import FixpointSeries
+from fsmdiag.relations import FixpointSeries, bit_flags, bit_indices, flag_bits
 
 STATES = ("a", "b", "c")
 
@@ -57,6 +57,17 @@ def test_iteration_and_repr():
     r = PairRelation.from_pairs(STATES, [("b", "c"), ("a", "a")])
     assert list(r) == [("a", "a"), ("b", "c")]
     assert "b" in repr(r)
+
+
+@pytest.mark.parametrize("bits", [0, 1, 0b1011000, 2 ** 200 + 2 ** 64 + 5,
+                                  (1 << 10_000) - 1])
+def test_bit_helpers(bits):
+    indices = [i for i in range(bits.bit_length()) if bits >> i & 1]
+    assert bit_indices(bits) == indices
+    flags = bit_flags(bits, 10_001)
+    assert len(flags) == 10_001
+    assert [i for i, f in enumerate(flags) if f] == indices
+    assert flag_bits(flags) == bits
 
 
 def test_product_relation():
