@@ -174,14 +174,15 @@ def _pareto_min(tuples):
 
 def _frontier(fixed: PairRelation, *series) -> tuple:
     """Sorted Pareto-minimal index tuples (k1, ..., kd), each ki in
-    1..series[i].convergence_step, at which ``fixed`` intersected with every
-    ``series[i].at(ki)`` is empty.
+    1..series[i].convergence_step, at which ``fixed`` intersected with step
+    ki of every ``series[i]`` is empty.
 
     Every scanned series shrinks, so emptiness is upward closed in each
     index: per prefix of the first d - 1 indices only the least last index
-    is kept.  Each series' step relations are read once.
+    is kept.  Each series is iterated once, every step rebuilt from the one
+    before by its layer and kept as a bitset while the scan runs.
     """
-    steps = [[s.at(k).bits for k in range(1, s.convergence_step + 1)] for s in series]
+    steps = [[rel.bits for rel in s] for s in series]
     found = []
 
     def scan(bits, prefix):
@@ -294,7 +295,7 @@ def check_eventual_obs(m: Fsm, analysis: Optional[Analysis] = None) -> DiagVerdi
     if bad:
         return DiagVerdict(kind, False,
                            witness=_witness(bad, "backward-indistinguishable mixed pair"))
-    b, g = _frontier(a.pi & a.lam.at(1), a.b, a.gam)[0]
+    b, g = _frontier(a.pi & next(iter(a.lam)), a.b, a.gam)[0]
     params = DiagParams(max(b, g) - 1, 0, kind.horizon, g - 1, 0)
     return DiagVerdict(kind, True, params=params, bfgl=(b, 1, g, 1))
 

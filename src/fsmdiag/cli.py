@@ -76,16 +76,14 @@ def cmd_sets(args):
             fp, conv = series.fixed_point, series.convergence_step
         entry = {"fixed_point": [list(p) for p in fp.pairs()],
                  "convergence_step": conv}
-        if args.steps and series is not None:
-            entry["steps"] = [[list(p) for p in series.at(k).pairs()]
-                              for k in range(1, conv + 1)]
+        steps = [rel.pairs() for rel in series] if args.steps and series is not None else []
+        if steps:
+            entry["steps"] = [[list(p) for p in pairs] for pairs in steps]
         payload[name] = entry
         head = name if conv is None else "%s (converges at %d)" % (name, conv)
         lines.append("%s: %s" % (head, " ".join("(%s,%s)" % p for p in fp.pairs())))
-        if args.steps and series is not None:
-            for k in range(1, conv + 1):
-                lines.append("  step %d: %s" % (
-                    k, " ".join("(%s,%s)" % p for p in series.at(k).pairs())))
+        for k, pairs in enumerate(steps, 1):
+            lines.append("  step %d: %s" % (k, " ".join("(%s,%s)" % p for p in pairs)))
     _emit(args, payload, lines)
     return 0
 
@@ -165,11 +163,11 @@ def cmd_observe(args):
 def cmd_oracle(args):
     m = _load(args)
     if args.params:
-        vals = [int(t) for t in _state_list(args.params)]
-        if len(vals) != 4:
-            raise UsageError("--params needs tau,delta,gamma1,gamma2")
-        params = DiagParams(vals[0], vals[1], PropertyKind(args.property).horizon,
-                            vals[2], vals[3])
+        try:
+            tau, delta, gamma1, gamma2 = map(int, _state_list(args.params))
+        except ValueError:
+            raise UsageError("--params needs four integers tau,delta,gamma1,gamma2") from None
+        params = DiagParams(tau, delta, PropertyKind(args.property).horizon, gamma1, gamma2)
     else:
         v = check(m, args.property)
         if not v.holds:

@@ -209,16 +209,20 @@ def desilent(m: Fsm) -> SilentRemovalResult:
     initial = (m0.initial & states) | new_initial
     critical = (m0.critical & states) | {n for (q, w, c), n in new.items() if c}
 
-    # drop sink states until none remain; dropping can create new sinks
-    while True:
-        succ = {s: set() for s in states}
-        for (a, b) in trans:
-            if a in states and b in states:
-                succ[a].add(b)
-        sinks = {s for s in states if not succ[s]}
-        if not sinks:
-            break
-        states -= sinks
+    # drop sink states until none remain; dropping one takes a live successor
+    # from each predecessor, and those left with none are sinks in turn
+    live = dict.fromkeys(states, 0)
+    pre = {s: [] for s in states}
+    for a, b in trans:
+        live[a] += 1
+        pre[b].append(a)
+    sinks = [s for s in states if not live[s]]
+    for s in sinks:             # grows while it is read
+        for p in pre[s]:
+            live[p] -= 1
+            if not live[p]:
+                sinks.append(p)
+    states -= set(sinks)
     trans = {(a, b) for (a, b) in trans if a in states and b in states}
 
     m_hat = Fsm(states, initial & states,

@@ -25,6 +25,7 @@ the synchronous recursion while the work is O(edges of the pair graph).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import PreconditionError, UsageError
 from .model import Fsm
@@ -58,12 +59,10 @@ def s_series(m: Fsm) -> FixpointSeries:
     label = [m.label[s] for s in states]
     first = product_relation(states, m.initial, m.initial) & compute_pi(m)
     seen = bit_flags(first.bits, n * n)
-    frontier = bit_indices(first.bits)
-    added = {}
-    step = 1
-    while frontier:
+    layers = [bit_indices(first.bits)]
+    for layer in layers:        # grows while it is read, one layer per step
         nxt = []
-        for p in frontier:
+        for p in layer:
             i, j = divmod(p, n)
             succ_j = succ[j]
             for a in succ[i]:
@@ -73,13 +72,10 @@ def s_series(m: Fsm) -> FixpointSeries:
                     q = row + b
                     if label[b] == la and not seen[q]:
                         seen[q] = 1
-                        added[q] = step + 1
                         nxt.append(q)
         if nxt:
-            step += 1
-        frontier = nxt
-    fp = PairRelation(states, flag_bits(seen))
-    return FixpointSeries("grow", first, fp, step, added)
+            layers.append(nxt)
+    return FixpointSeries(first, PairRelation(states, flag_bits(seen)), layers[1:])
 
 
 def _shrink(m: Fsm, first: PairRelation, forward: bool) -> FixpointSeries:
@@ -113,13 +109,10 @@ def _shrink(m: Fsm, first: PairRelation, forward: bool) -> FixpointSeries:
         count[p] = c
         if not c:
             layer.append(p)
-    removed = {}
-    k = 1
-    while layer:
-        k += 1
+    layers = [layer] if layer else []
+    for layer in layers:        # grows while it is read, one layer per step
         for p in layer:
             alive[p] = 0
-            removed[p] = k
         nxt = []
         for p in layer:
             a, b = divmod(p, n)
@@ -133,10 +126,11 @@ def _shrink(m: Fsm, first: PairRelation, forward: bool) -> FixpointSeries:
                         count[q] = c
                         if not c:
                             nxt.append(q)
-        layer = nxt
+        if nxt:
+            layers.append(nxt)
     fp = PairRelation(m.states, flag_bits(alive))
-    emptied = k if not fp and first else None
-    return FixpointSeries("shrink", first, fp, k, removed, emptied_at=emptied)
+    emptied = len(layers) + 1 if not fp and first else None
+    return FixpointSeries(first, fp, layers, emptied_at=emptied)
 
 
 def f_series(m: Fsm) -> FixpointSeries:
@@ -168,10 +162,10 @@ def b_series(m: Fsm, sigma: PairRelation) -> FixpointSeries:
 class ProjectedSeries:
     """A base series together with its mixed-pair projection.
 
-    ``at(k)`` restricts the base relation to pairs with exactly one critical
+    Step k restricts the base relation to pairs with exactly one critical
     member and closes symmetrically; ``convergence_step`` is the first k at
     which the projection equals its final value (it can precede the base
-    series' own convergence).
+    series' own convergence).  Iterating reads the base series once.
     """
 
     base: FixpointSeries
@@ -182,13 +176,18 @@ class ProjectedSeries:
     def at(self, k: int) -> PairRelation:
         return (self.base.at(k) & self.mixed).symmetric_closure()
 
+    def __iter__(self):
+        for rel in islice(self.base, self.convergence_step):
+            yield (rel & self.mixed).symmetric_closure()
+
 
 def _projected(base: FixpointSeries, mixed: PairRelation) -> ProjectedSeries:
     # the symmetric closure is one-to-one on the mixed rectangle, so the
     # projection stops changing once the last mixed pair has left the base
     fp = (base.fixed_point & mixed).symmetric_closure()
-    step = max((k for idx, k in base.change_step.items() if mixed.bits >> idx & 1),
-               default=1)
+    inside = bit_flags(mixed.bits, mixed.n ** 2)
+    step = max((k for k, layer in enumerate(base.layers, 2)
+                if any(inside[p] for p in layer)), default=1)
     return ProjectedSeries(base, mixed, fp, step)
 
 

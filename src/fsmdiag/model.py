@@ -25,7 +25,10 @@ def _budget(explicit: Optional[int]) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get("FSMDIAG_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    try:
+        return int(env) if env else DEFAULT_BUDGET
+    except ValueError:
+        raise UsageError("FSMDIAG_BUDGET must be an integer, not %r" % env) from None
 
 
 class Fsm:

@@ -8,7 +8,7 @@ relation occupies O(|X|^2) bits regardless of how full it is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import UsageError
@@ -142,9 +142,8 @@ class PairRelation:
 
     def symmetric_closure(self):
         n = self.n
-        transposed = bytearray(n * n)
-        for idx in bit_indices(self.bits):
-            transposed[(idx % n) * n + idx // n] = 1
+        flags = bit_flags(self.bits, n * n)
+        transposed = bytearray().join(flags[j::n] for j in range(n))  # row j: column j
         return PairRelation(self.states, self.bits | flag_bits(transposed))
 
     def is_symmetric(self):
@@ -177,37 +176,38 @@ def same_block(states, omega: Iterable[str]) -> PairRelation:
 class FixpointSeries:
     """Trace of a monotone pair-relation recursion in O(|X|^2) memory.
 
-    Instead of storing one relation per step, we keep the first relation and a
-    per-pair step annotation: for a growing series, the step at which each pair
-    appeared; for a shrinking one, the step after which it disappeared.  Any
-    intermediate relation is reconstructed on demand.
+    The first relation R_1, and per step k >= 2 the layer of pair bit
+    indices added to (growing) or removed from (shrinking) R_{k-1}.  A pair
+    changes at most once, so R_k is R_1 with its first k - 1 layers flipped
+    whichever way the series runs.  Iterating yields R_1..R_K, O(|X|^2) each.
     """
 
-    direction: str                  # "grow" or "shrink"
     first: PairRelation             # the k = 1 relation
     fixed_point: PairRelation
-    convergence_step: int           # min k with R_k = fixed point
-    change_step: dict               # pair bit-index -> step (added_at / removed_at)
+    layers: list                    # layers[k - 2]: pair bit-indices changed at step k
     emptied_at: Optional[int] = None
+
+    @property
+    def convergence_step(self) -> int:
+        """The least k with R_k equal to the fixed point."""
+        return len(self.layers) + 1
 
     def at(self, k: int) -> PairRelation:
         """The relation at step k (clamped past convergence)."""
         if k < 1:
             raise UsageError("series steps start at 1")
-        if k >= self.convergence_step:
+        if k > len(self.layers):
             return self.fixed_point
-        if self.direction == "grow":
-            bits = self.first.bits
-            for idx, step in self.change_step.items():
-                if 1 < step <= k:
-                    bits |= 1 << idx
-        else:
-            bits = self.first.bits
-            for idx, step in self.change_step.items():
-                if step <= k:
-                    bits &= ~(1 << idx)
-        return PairRelation(self.first.states, bits)
+        flags = bit_flags(self.first.bits, self.first.n ** 2)
+        for p in chain.from_iterable(self.layers[:k - 1]):
+            flags[p] ^= 1
+        return PairRelation(self.first.states, flag_bits(flags))
 
     def __iter__(self):
-        for k in range(1, self.convergence_step + 1):
-            yield self.at(k)
+        """R_1, ..., R_K, each built from the one before by its layer."""
+        flags = bit_flags(self.first.bits, self.first.n ** 2)
+        yield self.first
+        for layer in self.layers:
+            for p in layer:
+                flags[p] ^= 1
+            yield PairRelation(self.first.states, flag_bits(flags))

@@ -197,7 +197,10 @@ def test_criterion_7_complexity_smoke():
     watch = Stopwatch(10)
     series = s_series(m)
     watch.check()
-    # relation storage is one bit per state pair plus one step annotation
+    # relation storage is one bit per state pair plus one layer entry per
+    # changed pair, and no pair changes twice
     assert series.fixed_point.bits.bit_length() <= n * n
-    assert len(series.change_step) <= n * n
+    assert sum(map(len, series.layers)) <= n * n
+    changed = [p for layer in series.layers for p in layer]
+    assert len(set(changed)) == len(changed)
     print("CRITERION 7: PASS")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fsmdiag import (
@@ -5,6 +7,7 @@ from fsmdiag import (
     check,
 )
 from fsmdiag.checker import PropertyKind
+from fsmdiag.fixpoint import ProjectedSeries
 from conftest import sym, theta
 
 ALL_PROPERTIES = ("parametric", "diag", "eventual", "critical",
@@ -225,6 +228,26 @@ class TestFrontier:
             for o in frontier:
                 if o != t:
                     assert not all(o[i] <= t[i] for i in range(4))
+
+    @pytest.mark.parametrize("machine", ["m1", "random60"])
+    def test_series_read_without_step_lookups(self, request, monkeypatch, machine):
+        # the frontier search iterates each series once; it never asks a
+        # series for one step at a time
+        if machine == "m1":
+            m = request.getfixturevalue("m1")
+        else:
+            rng = random.Random(2)
+            states = ["s%02d" % i for i in range(60)]
+            label = {s: rng.choice("abcdefgh") for s in states}
+            trans = [(s, t) for s in states for t in rng.sample(states, rng.randint(1, 3))]
+            m = Fsm(states, states, label, trans, states[:rng.randint(1, 6)])
+        calls = []
+        for cls in (FixpointSeries, ProjectedSeries):
+            monkeypatch.setattr(cls, "at", lambda self, k, at=cls.at:
+                                calls.append((type(self), k)) or at(self, k))
+        holds = [check(m, p).holds for p in ("eventual", "parametric", "diag", "eventual-obs")]
+        assert holds == ([True, True, False, False] if machine == "m1" else [True] * 4)
+        assert calls == []
 
     def test_monotone_inclusion(self, m1):
         # if the condition holds at a frontier tuple, it holds at anything larger

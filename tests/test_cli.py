@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from fsmdiag import load_fsm, max_silent_length, parse_fsm
+from fsmdiag import FixpointSeries, load_fsm, max_silent_length, parse_fsm
 from fsmdiag.cli import main
+from fsmdiag.fixpoint import ProjectedSeries
 from conftest import FIXTURES, fixture_path
 
 
@@ -119,6 +121,26 @@ class TestSets:
         code, out, _ = run(capsys, "sets", M1, "--set", "F", "--steps")
         assert "step 1:" in out and "step 2:" in out
 
+    def test_steps_read_each_series_once(self, capsys, monkeypatch):
+        reads, calls = [], []
+        for cls in (FixpointSeries, ProjectedSeries):
+            monkeypatch.setattr(cls, "__iter__", lambda self, it=cls.__iter__:
+                                reads.append(self) or it(self))
+            monkeypatch.setattr(cls, "at", lambda self, k, at=cls.at:
+                                calls.append(k) or at(self, k))
+        code, out, _ = run(capsys, "sets", M1, "--steps", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        # S, Stilde, F, B, Lambda and Gamma, plus the base series that the
+        # projections of Lambda and Gamma read
+        projected = [s for s in reads if isinstance(s, ProjectedSeries)]
+        assert len(projected) == 2
+        assert len(reads) == 8 and len({id(s) for s in reads}) == 8
+        assert {id(s.base) for s in projected} <= {id(s) for s in reads}
+        assert calls == []
+        for name in ("S", "Stilde", "F", "B", "Lambda", "Gamma"):
+            assert len(payload[name]["steps"]) == payload[name]["convergence_step"]
+
 
 def silent_chain(tmp_path, length):
     """v0 -> e0 -> ... -> e<length - 1> -> v1 -> v0, every e silent."""
@@ -142,6 +164,22 @@ class TestDesilent:
         code, out, _ = run(capsys, "desilent", deep, "-o", str(tmp_path / "out.fsm"))
         assert code == 0
         assert parse_fsm((tmp_path / "out.fsm").read_text()).states == ("e19999~v0", "v1")
+
+    def test_long_dead_chain(self, capsys, tmp_path):
+        # a non-silent chain that ends in a sink, entered through a silent
+        # state: every chain state is dropped, one sink after another
+        length = 20000
+        lines = ["fsm v1", "state v0 output=a init", "state e output=_"]
+        lines += ["state d%d output=b" % i for i in range(length)]
+        chain = ["v0", "e"] + ["d%d" % i for i in range(length)]
+        lines += ["trans v0 v0"] + ["trans %s %s" % pair for pair in zip(chain, chain[1:])]
+        path = tmp_path / "dead.fsm"
+        path.write_text("\n".join(lines) + "\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "desilent", str(path), "-o", str(tmp_path / "out.fsm"))
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert parse_fsm((tmp_path / "out.fsm").read_text()).states == ("v0",)
 
     def test_writes_output(self, capsys, tmp_path):
         out_file = tmp_path / "out.fsm"
@@ -207,10 +245,16 @@ class TestOracle:
         assert "violated" in out
         assert "execution:" in out and "partner:" in out
 
-    def test_bad_params(self, capsys):
-        code, _, err = run(capsys, "oracle", M1, "--property", "eventual",
-                           "--horizon", "12", "--params", "1,2")
+    @pytest.mark.parametrize("params, budget", [
+        ("1,2", None), ("a,b,c,d", None), ("1,2,3,4,5", None), (None, "abc"),
+    ], ids=["too-few", "not-integers", "too-many", "bad-budget"])
+    def test_bad_params(self, capsys, monkeypatch, params, budget):
+        if budget is not None:
+            monkeypatch.setenv("FSMDIAG_BUDGET", budget)
+        argv = ["oracle", M1, "--property", "eventual", "--horizon", "5"]
+        code, _, err = run(capsys, *argv + (["--params", params] if params else []))
         assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_failing_property_needs_params(self, capsys):
         code, _, err = run(capsys, "oracle", FORK, "--property", "parametric",

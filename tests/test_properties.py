@@ -66,7 +66,7 @@ def test_series_shape(m):
         for rel in series:
             assert rel.is_symmetric()
             if prev is not None:
-                if series.direction == "grow":
+                if series is a.s:       # S grows, the others shrink
                     assert prev.issubset(rel)
                 else:
                     assert rel.issubset(prev)
@@ -81,6 +81,11 @@ def test_series_shape(m):
         k = series.convergence_step
         assert series.at(k) == series.fixed_point
         assert k == 1 or series.at(k - 1) != series.fixed_point
+        steps = list(series)
+        assert len(steps) == k
+        for j in range(1, k + 1):
+            assert steps[j - 1] == series.at(j)
+        assert series.at(k + 1) == series.fixed_point
 
 
 def reference_shrink(m, seed, step):
@@ -117,11 +122,15 @@ def test_shrink_matches_synchronous_recursion(m, forward, which, data):
     assert series.convergence_step == len(steps)
     for k in range(1, len(steps) + 2):
         assert set(series.at(k).pairs()) == steps[min(k, len(steps)) - 1]
+    assert [set(rel.pairs()) for rel in series] == steps
     assert series.emptied_at == (len(steps) if steps[0] and not steps[-1] else None)
     n = len(states)
-    removed = {states.index(i) * n + states.index(j): k + 1
-               for k in range(1, len(steps)) for (i, j) in steps[k - 1] - steps[k]}
-    assert series.change_step == removed
+    assert len(series.layers) == len(steps) - 1
+    for k, layer in enumerate(series.layers, 2):
+        assert set(layer) == {states.index(i) * n + states.index(j)
+                              for (i, j) in steps[k - 2] - steps[k - 1]}
+    changed = [p for layer in series.layers for p in layer]
+    assert len(set(changed)) == len(changed)
 
 
 @given(analysis_machines(max_states=4), st.integers(1, 5))

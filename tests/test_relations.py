@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fsmdiag import PairRelation, UsageError, product_relation, same_block
@@ -51,6 +53,18 @@ def test_symmetric_closure():
     assert closed.is_symmetric()
     assert set(closed.pairs()) == {("a", "b"), ("b", "a")}
     assert PairRelation.diagonal(STATES).is_symmetric()
+    # against the set transpose: empty, full, one row, one column, random
+    rng = random.Random(0)
+    for n in (1, 2, 5, 17):
+        states = ["s%02d" % i for i in range(n)]
+        everything = [(a, b) for a in states for b in states]
+        relations = [[], everything, [(states[0], b) for b in states],
+                     [(a, states[-1]) for a in states]]
+        relations += [rng.sample(everything, rng.randint(0, len(everything)))
+                      for _ in range(20)]
+        for pairs in relations:
+            closed = PairRelation.from_pairs(states, pairs).symmetric_closure()
+            assert set(closed.pairs()) == set(pairs) | {(b, a) for a, b in pairs}
 
 
 def test_iteration_and_repr():
@@ -85,15 +99,17 @@ def test_same_block():
     assert len(same_block(STATES, [])) == 9
 
 
+def pair_index(p):
+    return STATES.index(p[0]) * 3 + STATES.index(p[1])
+
+
 class TestFixpointSeries:
     def make_grow(self):
         first = PairRelation.from_pairs(STATES, [("a", "a")])
         fp = PairRelation.from_pairs(STATES, [("a", "a"), ("a", "b"), ("b", "c")])
         # (a,b) appears at step 2, (b,c) at step 3
-        idx = {p: STATES.index(p[0]) * 3 + STATES.index(p[1])
-               for p in (("a", "b"), ("b", "c"))}
-        return FixpointSeries("grow", first, fp, 3,
-                              {idx[("a", "b")]: 2, idx[("b", "c")]: 3})
+        return FixpointSeries(first, fp, [[pair_index(("a", "b"))],
+                                          [pair_index(("b", "c"))]])
 
     def test_grow_reconstruction(self):
         s = self.make_grow()
@@ -105,13 +121,14 @@ class TestFixpointSeries:
     def test_shrink_reconstruction(self):
         first = PairRelation.from_pairs(STATES, [("a", "a"), ("a", "b"), ("b", "c")])
         fp = PairRelation.from_pairs(STATES, [("a", "a")])
-        idx = {p: STATES.index(p[0]) * 3 + STATES.index(p[1])
-               for p in (("a", "b"), ("b", "c"))}
-        s = FixpointSeries("shrink", first, fp, 3,
-                           {idx[("a", "b")]: 2, idx[("b", "c")]: 3})
+        # (a,b) leaves at step 2, (b,c) at step 3
+        s = FixpointSeries(first, fp, [[pair_index(("a", "b"))],
+                                       [pair_index(("b", "c"))]])
+        assert s.convergence_step == 3
         assert s.at(1) == first
         assert set(s.at(2).pairs()) == {("a", "a"), ("b", "c")}
         assert s.at(3) == fp
+        assert list(s) == [s.at(1), s.at(2), fp]
 
     def test_step_bounds(self):
         s = self.make_grow()
@@ -121,5 +138,13 @@ class TestFixpointSeries:
     def test_iter_yields_every_step(self):
         s = self.make_grow()
         steps = list(s)
-        assert len(steps) == 3
+        assert len(steps) == s.convergence_step == 3
+        assert steps == [s.at(1), s.at(2), s.at(3)]
         assert steps[0] == s.first and steps[-1] == s.fixed_point
+
+    def test_no_layers(self):
+        r = PairRelation.from_pairs(STATES, [("a", "b")])
+        s = FixpointSeries(r, r, [])
+        assert s.convergence_step == 1
+        assert list(s) == [r]
+        assert s.at(1) == s.at(2) == r
