@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .checker import Analysis, DiagParams, DiagVerdict, PropertyKind, check
-from .diagnoser import DiagnosisEvent, Estimator, init_estimator, observe
+from .diagnoser import DiagnosisEvent, Estimator, observe
 from .epsremoval import (SilentContext, SilentRemovalResult, desilent,
                          execution_image, max_silent_length, silent_context)
 from .errors import (BudgetExceededError, FsmDiagError,

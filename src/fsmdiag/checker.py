@@ -295,7 +295,7 @@ def check_eventual_obs(m: Fsm, analysis: Optional[Analysis] = None) -> DiagVerdi
     if bad:
         return DiagVerdict(kind, False,
                            witness=_witness(bad, "backward-indistinguishable mixed pair"))
-    b, g = _frontier(a.pi & next(iter(a.lam)), a.b, a.gam)[0]
+    b, g = _frontier(a.pi & a.lam.first, a.b, a.gam)[0]
     params = DiagParams(max(b, g) - 1, 0, kind.horizon, g - 1, 0)
     return DiagVerdict(kind, True, params=params, bfgl=(b, 1, g, 1))
 

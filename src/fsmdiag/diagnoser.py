@@ -98,10 +98,6 @@ class Estimator:
         return narrowed
 
 
-def init_estimator(m: Fsm, verdict: DiagVerdict) -> Estimator:
-    return Estimator(m, verdict)
-
-
 def observe(m: Fsm, verdict: DiagVerdict, symbols):
     """Run a whole stream; return (estimator, events in order)."""
     est = Estimator(m, verdict)

@@ -24,9 +24,6 @@ the synchronous recursion while the work is O(edges of the pair graph).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import islice
-
 from .errors import PreconditionError, UsageError
 from .model import Fsm
 from .relations import (
@@ -128,9 +125,7 @@ def _shrink(m: Fsm, first: PairRelation, forward: bool) -> FixpointSeries:
                             nxt.append(q)
         if nxt:
             layers.append(nxt)
-    fp = PairRelation(m.states, flag_bits(alive))
-    emptied = len(layers) + 1 if not fp and first else None
-    return FixpointSeries(first, fp, layers, emptied_at=emptied)
+    return FixpointSeries(first, PairRelation(m.states, flag_bits(alive)), layers)
 
 
 def f_series(m: Fsm) -> FixpointSeries:
@@ -158,37 +153,10 @@ def b_series(m: Fsm, sigma: PairRelation) -> FixpointSeries:
     return _shrink(m, sigma, False)
 
 
-@dataclass(frozen=True)
-class ProjectedSeries:
-    """A base series together with its mixed-pair projection.
-
-    Step k restricts the base relation to pairs with exactly one critical
-    member and closes symmetrically; ``convergence_step`` is the first k at
-    which the projection equals its final value (it can precede the base
-    series' own convergence).  Iterating reads the base series once.
-    """
-
-    base: FixpointSeries
-    mixed: PairRelation          # critical x non-critical rectangle
-    fixed_point: PairRelation
-    convergence_step: int
-
-    def at(self, k: int) -> PairRelation:
-        return (self.base.at(k) & self.mixed).symmetric_closure()
-
-    def __iter__(self):
-        for rel in islice(self.base, self.convergence_step):
-            yield (rel & self.mixed).symmetric_closure()
-
-
-def _projected(base: FixpointSeries, mixed: PairRelation) -> ProjectedSeries:
-    # the symmetric closure is one-to-one on the mixed rectangle, so the
-    # projection stops changing once the last mixed pair has left the base
-    fp = (base.fixed_point & mixed).symmetric_closure()
-    inside = bit_flags(mixed.bits, mixed.n ** 2)
-    step = max((k for k, layer in enumerate(base.layers, 2)
-                if any(inside[p] for p in layer)), default=1)
-    return ProjectedSeries(base, mixed, fp, step)
+class ProjectedSeries(FixpointSeries):
+    # A separate name for the lookups on Lambda and Gamma, which
+    # bench/spans.py times apart from those on the other series.
+    at = FixpointSeries.at
 
 
 def _avoid_seed(m: Fsm, s_star: PairRelation) -> PairRelation:
@@ -196,20 +164,31 @@ def _avoid_seed(m: Fsm, s_star: PairRelation) -> PairRelation:
     return product_relation(m.states, m.states, non_critical) & s_star
 
 
+def _masking_series(m: Fsm, s_star: PairRelation, forward: bool) -> ProjectedSeries:
+    """The avoiding recursion restricted, step by step, to the mixed
+    rectangle (critical x non-critical) and closed symmetrically.  The
+    closure is one-to-one there, so a layer is the base layer's mixed pairs
+    plus their transposes, and the series ends at the last base layer that
+    touches the rectangle."""
+    base = _shrink(m, _avoid_seed(m, s_star), forward)
+    mixed = product_relation(m.states, m.critical,
+                             [s for s in m.states if s not in m.critical])
+    n = len(m.states)
+    inside = bit_flags(mixed.bits, n * n)
+    layers = [[q for p in layer if inside[p] for q in (p, p % n * n + p // n)]
+              for layer in base.layers]
+    while layers and not layers[-1]:
+        layers.pop()
+    return ProjectedSeries((base.first & mixed).symmetric_closure(),
+                           (base.fixed_point & mixed).symmetric_closure(), layers)
+
+
 def lambda_series(m: Fsm, s_star: PairRelation) -> ProjectedSeries:
     """Mixed pairs extendable forward indistinguishably with the non-critical
     side avoiding the critical set throughout."""
-    seed = _avoid_seed(m, s_star)
-    base = _shrink(m, seed, True)
-    mixed = product_relation(m.states, m.critical,
-                             [s for s in m.states if s not in m.critical])
-    return _projected(base, mixed)
+    return _masking_series(m, s_star, True)
 
 
 def gamma_series(m: Fsm, s_star: PairRelation) -> ProjectedSeries:
     """Backward counterpart of lambda_series, stepping through predecessors."""
-    seed = _avoid_seed(m, s_star)
-    base = _shrink(m, seed, False)
-    mixed = product_relation(m.states, m.critical,
-                             [s for s in m.states if s not in m.critical])
-    return _projected(base, mixed)
+    return _masking_series(m, s_star, False)

@@ -299,22 +299,24 @@ def _find_partner(m, x, k, g1, g2):
     def ok(v, pos):
         return m.label[v] == outs[pos - 1] and not (lo <= pos <= hi and v in m.critical)
 
-    def rec(prefix):
-        pos = len(prefix)
+    # depth-first in sorted order, one successor iterator per position, so
+    # the first partner found is the lexicographically least; (position,
+    # state) pairs already searched in full lead nowhere and are skipped
+    path, stack, dead = [], [iter(sorted(m.initial))], set()
+    while stack:
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            if path:
+                dead.add((len(path), path.pop()))
+            continue
+        pos = len(path) + 1
+        if not ok(v, pos) or (pos, v) in dead:
+            continue
+        path.append(v)
         if pos == len(x):
-            return prefix
-        for v in sorted(m.succ(prefix[-1])):
-            if ok(v, pos + 1):
-                got = rec(prefix + (v,))
-                if got:
-                    return got
-        return None
-
-    for v in sorted(m.initial):
-        if ok(v, 1):
-            got = rec((v,))
-            if got:
-                return got
+            return tuple(path)
+        stack.append(iter(sorted(m.succ(v))))
     raise AssertionError("violation reported but no partner found")
 
 

@@ -8,7 +8,7 @@ relation occupies O(|X|^2) bits regardless of how full it is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress, islice
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import UsageError
@@ -185,23 +185,23 @@ class FixpointSeries:
     first: PairRelation             # the k = 1 relation
     fixed_point: PairRelation
     layers: list                    # layers[k - 2]: pair bit-indices changed at step k
-    emptied_at: Optional[int] = None
 
     @property
     def convergence_step(self) -> int:
         """The least k with R_k equal to the fixed point."""
         return len(self.layers) + 1
 
+    @property
+    def emptied_at(self) -> Optional[int]:
+        """The step at which a nonempty series became empty, if it did."""
+        return self.convergence_step if self.first and not self.fixed_point else None
+
     def at(self, k: int) -> PairRelation:
-        """The relation at step k (clamped past convergence)."""
+        """The relation at step k (clamped past convergence), read by
+        iterating to it: O(k |X|^2)."""
         if k < 1:
             raise UsageError("series steps start at 1")
-        if k > len(self.layers):
-            return self.fixed_point
-        flags = bit_flags(self.first.bits, self.first.n ** 2)
-        for p in chain.from_iterable(self.layers[:k - 1]):
-            flags[p] ^= 1
-        return PairRelation(self.first.states, flag_bits(flags))
+        return next(islice(self, k - 1, None), self.fixed_point)
 
     def __iter__(self):
         """R_1, ..., R_K, each built from the one before by its layer."""

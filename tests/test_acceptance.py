@@ -8,11 +8,12 @@ import random
 import time
 
 from fsmdiag import (
-    Analysis, DiagParams, Fsm, Horizon, check, check_definition,
-    crossing_index, desilent, enum_relation, enumerate_executions,
-    execution_image, init_estimator, is_execution, output_of, s_series,
+    Analysis, DiagParams, Estimator, FixpointSeries, Fsm, Horizon, check,
+    check_definition, crossing_index, desilent, enum_relation,
+    enumerate_executions, execution_image, is_execution, output_of, s_series,
     validate,
 )
+from fsmdiag.fixpoint import ProjectedSeries
 from conftest import (
     make_m1, make_m2, make_silent, random_live_fsm, sym, theta,
 )
@@ -163,7 +164,7 @@ def test_criterion_6_diagnoser_guarantee():
     detections = 0
     for length in range(1, 13):
         for x in enumerate_executions(m, m.initial, length):
-            est = init_estimator(m, v)
+            est = Estimator(m, v)
             events = []
             for k, s in enumerate(x, 1):
                 ev = est.step(m.label[s])
@@ -204,3 +205,28 @@ def test_criterion_7_complexity_smoke():
     changed = [p for layer in series.layers for p in layer]
     assert len(set(changed)) == len(changed)
     print("CRITERION 7: PASS")
+
+
+def test_criterion_7_scale_smoke(monkeypatch):
+    # the four frontier-scanning checks on one 800-state analysis read each
+    # series by iteration; step lookups at O(|X|^2) each made this n^4
+    rng = random.Random(7)
+    n = 800
+    states = [str(i) for i in range(n)]
+    label = {s: rng.choice("abcdefgh") for s in states}
+    trans = []
+    for s in states:
+        for t in rng.sample(states, rng.randint(1, 3)):
+            trans.append((s, t))
+    m = Fsm(states, states, label, trans, rng.sample(states, n // 20))
+    calls = []
+    for cls in (FixpointSeries, ProjectedSeries):
+        monkeypatch.setattr(cls, "at", lambda self, k, at=cls.at:
+                            calls.append(k) or at(self, k))
+    watch = Stopwatch(30)
+    a = Analysis(m)
+    holds = [check(m, p, a).holds for p in ("eventual", "diag", "parametric", "critical")]
+    watch.check()
+    assert holds == [True, False, True, False]
+    assert calls == []
+    print("CRITERION 7 (n = 800): PASS")

@@ -123,20 +123,18 @@ class TestSets:
 
     def test_steps_read_each_series_once(self, capsys, monkeypatch):
         reads, calls = [], []
+        # ProjectedSeries inherits __iter__ but binds its own name for at
+        monkeypatch.setattr(FixpointSeries, "__iter__", lambda self, it=FixpointSeries.__iter__:
+                            reads.append(self) or it(self))
         for cls in (FixpointSeries, ProjectedSeries):
-            monkeypatch.setattr(cls, "__iter__", lambda self, it=cls.__iter__:
-                                reads.append(self) or it(self))
             monkeypatch.setattr(cls, "at", lambda self, k, at=cls.at:
                                 calls.append(k) or at(self, k))
         code, out, _ = run(capsys, "sets", M1, "--steps", "--json")
         assert code == 0
         payload = json.loads(out)
-        # S, Stilde, F, B, Lambda and Gamma, plus the base series that the
-        # projections of Lambda and Gamma read
-        projected = [s for s in reads if isinstance(s, ProjectedSeries)]
-        assert len(projected) == 2
-        assert len(reads) == 8 and len({id(s) for s in reads}) == 8
-        assert {id(s.base) for s in projected} <= {id(s) for s in reads}
+        # S, Stilde, F, B, Lambda and Gamma, each read once from its own layers
+        assert len(reads) == 6 and len({id(s) for s in reads}) == 6
+        assert sum(isinstance(s, ProjectedSeries) for s in reads) == 2
         assert calls == []
         for name in ("S", "Stilde", "F", "B", "Lambda", "Gamma"):
             assert len(payload[name]["steps"]) == payload[name]["convergence_step"]
@@ -255,6 +253,56 @@ class TestOracle:
         code, _, err = run(capsys, *argv + (["--params", params] if params else []))
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_long_counterexample(self, capsys, tmp_path):
+        # two 1100-state chains of equal outputs, only the a-chain critical at
+        # its end: the partner is the whole b-chain, longer than the
+        # interpreter's recursion limit
+        n = 1100
+        lines = ["fsm v1"]
+        for c in "ab":
+            lines += ["state %s%d output=a%s%s" % (c, i, " init" * (i == 0),
+                                                   " critical" * (c == "a" and i == n - 1))
+                      for i in range(n)]
+            lines += ["trans %s%d %s%d" % (c, i, c, min(i + 1, n - 1)) for i in range(n)]
+        path = tmp_path / "chains.fsm"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "oracle", str(path), "--property", "diag",
+                           "--horizon", "1200", "--params", "0,0,0,0", "--json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["status"] == "violated"
+        ce = payload["counterexample"]
+        assert ce["crossing_step"] == n
+        assert ce["execution"] == ["a%d" % i for i in range(n)]
+        assert ce["partner"] == ["b%d" % i for i in range(n)]
+
+    def test_partner_search_skips_dead_ends(self, capsys, tmp_path):
+        # from a0, 2^(n-1) paths through a lattice of two states per step all
+        # end in the critical w; the partner is the chain z0..z(n-1), tried
+        # after them, and each lattice state is searched once
+        n = 24
+        lines = ["fsm v1", "state a0 output=a init", "state z0 output=a init",
+                 "state w output=a critical", "trans w w"]
+        prev = ["a0"]
+        for i in range(1, n):
+            cur = ["u%d" % i, "v%d" % i]
+            lines += ["state %s output=a" % s for s in cur]
+            lines += ["trans %s %s" % (p, c) for p in prev for c in cur]
+            prev = cur
+        lines += ["trans %s w" % p for p in prev]
+        lines += ["state z%d output=a" % i for i in range(1, n + 1)]
+        lines += ["trans z%d z%d" % (i, min(i + 1, n)) for i in range(n + 1)]
+        path = tmp_path / "lattice.fsm"
+        path.write_text("\n".join(lines) + "\n")
+        t0 = time.monotonic()
+        code, out, _ = run(capsys, "oracle", str(path), "--property", "diag",
+                           "--horizon", str(n + 5), "--params", "0,0,0,0", "--json")
+        assert time.monotonic() - t0 < 5
+        assert code == 1
+        ce = json.loads(out)["counterexample"]
+        assert ce["crossing_step"] == n + 1
+        assert ce["partner"] == ["z%d" % i for i in range(n + 1)]
 
     def test_failing_property_needs_params(self, capsys):
         code, _, err = run(capsys, "oracle", FORK, "--property", "parametric",

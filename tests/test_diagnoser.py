@@ -2,7 +2,7 @@ import pytest
 
 from fsmdiag import (
     Estimator, Fsm, InconsistentObservationError, UsageError, check,
-    crossing_index, enumerate_executions, init_estimator, observe,
+    crossing_index, enumerate_executions, observe,
 )
 
 
@@ -13,7 +13,7 @@ def m1_verdict(m1):
 
 class TestSetup:
     def test_lag_and_threshold(self, m1, m1_verdict):
-        est = init_estimator(m1, m1_verdict)
+        est = Estimator(m1, m1_verdict)
         assert est.lag == 1
         assert est.threshold == 3
 
@@ -21,16 +21,16 @@ class TestSetup:
         from fsmdiag import Fsm
         m = Fsm("ab", "ab", {"a": "x", "b": "y"},
                 [("a", "b"), ("b", "a")], {"b"})
-        est = init_estimator(m, check(m, "eventual"))
+        est = Estimator(m, check(m, "eventual"))
         assert est.lag == 0  # plain current-state filter
 
     def test_rejects_failing_verdict(self, m1):
         with pytest.raises(UsageError):
-            init_estimator(m1, check(m1, "diag"))
+            Estimator(m1, check(m1, "diag"))
 
     def test_rejects_unobservable_property(self, m1):
         with pytest.raises(UsageError):
-            init_estimator(m1, check(m1, "exact-step"))
+            Estimator(m1, check(m1, "exact-step"))
 
 
 class TestStep:
@@ -49,19 +49,19 @@ class TestStep:
         assert events == []
 
     def test_unknown_symbol(self, m1, m1_verdict):
-        est = init_estimator(m1, m1_verdict)
+        est = Estimator(m1, m1_verdict)
         with pytest.raises(UsageError):
             est.step("z")
 
     def test_inconsistent_stream(self, m1, m1_verdict):
-        est = init_estimator(m1, m1_verdict)
+        est = Estimator(m1, m1_verdict)
         est.step("c")
         with pytest.raises(InconsistentObservationError):
             est.step("c")  # state 6 has no c-labelled successor
 
     def test_one_shot_for_first_crossing_properties(self, m2_single):
         v = check(m2_single, "diag")
-        est = init_estimator(m2_single, v)
+        est = Estimator(m2_single, v)
         assert est.one_shot
         # a a a c c a a a c: two traversals of a critical branch
         events = []
@@ -73,7 +73,7 @@ class TestStep:
 
     def test_repeated_crossings_reported(self, m2_single):
         v = check(m2_single, "critical")
-        est = init_estimator(m2_single, v)
+        est = Estimator(m2_single, v)
         events = []
         for y in "a a a c c a a a c".split():
             ev = est.step(y)
@@ -86,17 +86,17 @@ class TestStep:
 
 class TestCurrentEstimate:
     def test_m2_after_one_symbol(self, m2):
-        est = init_estimator(m2, check(m2, "eventual"))
+        est = Estimator(m2, check(m2, "eventual"))
         est.step("a")
         assert est.current_estimate() == {"1", "2", "3", "4", "5"}
 
     def test_m1_after_c(self, m1, m1_verdict):
-        est = init_estimator(m1, m1_verdict)
+        est = Estimator(m1, m1_verdict)
         est.step("c")
         assert est.current_estimate() == {"6"}
 
     def test_unique_execution_gives_singleton(self, m1, m1_verdict):
-        est = init_estimator(m1, m1_verdict)
+        est = Estimator(m1, m1_verdict)
         for y in ["c", "b", "a", "b"]:
             est.step(y)
         # estimate is at lag 1: step 3 of the unique execution 6 2 3 4
@@ -104,7 +104,7 @@ class TestCurrentEstimate:
 
     def test_requires_observation(self, m1, m1_verdict):
         with pytest.raises(UsageError):
-            init_estimator(m1, m1_verdict).current_estimate()
+            Estimator(m1, m1_verdict).current_estimate()
 
 
 def test_long_critical_stream_events():
@@ -118,7 +118,7 @@ def test_long_critical_stream_events():
     symbols = [m.label[s] for s in "23" * 10500]
     _, events = observe(m, verdict, symbols)
 
-    est = init_estimator(m, verdict)
+    est = Estimator(m, verdict)
     width = est.g + est.l  # every window spans fewer steps than this
     seen, expected = set(), []
     for y in symbols:
@@ -150,7 +150,7 @@ def detection_sweep(m, verdict, max_len):
     for length in range(1, max_len + 1):
         for x in enumerate_executions(m, m.initial, length):
             ys = [m.label[s] for s in x]
-            est = init_estimator(m, verdict)
+            est = Estimator(m, verdict)
             events = []
             for k, y in enumerate(ys, 1):
                 ev = est.step(y)

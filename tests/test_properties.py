@@ -133,6 +133,27 @@ def test_shrink_matches_synchronous_recursion(m, forward, which, data):
     assert len(set(changed)) == len(changed)
 
 
+@given(analysis_machines(max_states=7, outputs="abc"))
+@COMMON
+def test_masking_series_project_the_avoiding_recursion(m):
+    # Lambda and Gamma are the avoiding recursion restricted to critical x
+    # non-critical pairs and closed symmetrically, step by step
+    a = Analysis(m)
+    seed = _avoid_seed(m, a.s.fixed_point)
+    for series, step in ((a.lam, m.succ), (a.gam, m.pre)):
+        proj = [{p for (i, j) in base if i in m.critical and j not in m.critical
+                 for p in ((i, j), (j, i))}
+                for base in reference_shrink(m, seed, step)]
+        k_star = next(k for k in range(1, len(proj) + 1)
+                      if all(rel == proj[-1] for rel in proj[k - 1:]))
+        assert series.convergence_step == k_star
+        assert [set(rel.pairs()) for rel in series] == proj[:k_star]
+        for k in range(1, len(proj) + 2):
+            assert set(series.at(k).pairs()) == proj[min(k, len(proj)) - 1]
+        assert set(series.fixed_point.pairs()) == proj[-1]
+        assert series.emptied_at == (k_star if proj[0] and not proj[-1] else None)
+
+
 @given(analysis_machines(max_states=4), st.integers(1, 5))
 @COMMON
 def test_enumeration_matches_recursion(m, k):
