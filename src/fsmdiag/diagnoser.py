@@ -2,11 +2,18 @@
 
 Consumes an output stream symbol by symbol and reports crossings of the
 critical set with the delay and uncertainty window guaranteed by a checker
-verdict.  The estimate at lag d = max{f, l} - 1 is computed exactly: a short
-window of forward-filtered state sets is kept and re-narrowed backward on
-every step.  Propagating only the (lagged state, current state) endpoint
-pairs would over-approximate the lagged estimate, because it forgets whether
-a single execution connects the two endpoints through the window.
+verdict.  The estimate at lag d = max{f, l} - 1 is computed exactly, by
+fixed-lag smoothing: a window of the last d + 1 state sets is kept, each
+narrowed to the states that some execution consistent with the whole stream
+so far passes through at that step.  A new symbol extends the newest set
+through the machine's successors-by-label index, then narrows the window
+backward only until a set stops shrinking, since a set cannot shrink unless
+the set after it did.  Each step thus costs the newest set's successors plus
+the sets that actually lose states, independently of the lag, and the
+estimate is the oldest set, read without a rescan.  Propagating only the
+(lagged state, current state) endpoint pairs would over-approximate the
+lagged estimate, because it forgets whether a single execution connects the
+two endpoints through the window.
 """
 
 from __future__ import annotations
@@ -45,24 +52,43 @@ class Estimator:
         self.one_shot = kind.first_only
         self.k = 0
         self.events = []
-        self._window = deque(maxlen=self.lag + 1)  # forward-filtered state sets
+        # state sets at steps k - d .. k, each narrowed by the whole stream
+        self._window = deque(maxlen=self.lag + 1)
         self._done = False
 
     def step(self, y) -> "DiagnosisEvent | None":
         """Consume one output symbol; return a detection event, if any."""
         if y not in self.m.outputs:
             raise UsageError("symbol %r is not an output of the machine" % (y,))
+        window = self._window
         if self.k == 0:
+            prev, keep = (), ()
             cur = frozenset(s for s in self.m.initial if self.m.label[s] == y)
         else:
-            prev = self._window[-1]
-            cur = frozenset(t for s in prev for t in self.m.succ(s)
-                            if self.m.label[t] == y)
+            prev, keep, cur = window[-1], [], set()
+            index = self.m.succ_by_label
+            for s in prev:
+                after = index[s].get(y)
+                if after:
+                    keep.append(s)
+                    cur |= after
         if not cur:
             raise InconsistentObservationError(
                 "no execution of the machine produces this output stream")
-        self._window.append(cur)
+        window.append(frozenset(cur))
         self.k += 1
+        if len(keep) < len(prev) and len(window) > 1:
+            # the newest older set loses the states with no y-successor;
+            # each older set then loses the states with no successor left
+            # in the set after it, until one loses nothing
+            succ = self.m.succ
+            later = window[-2] = frozenset(keep)
+            for i in range(len(window) - 3, -1, -1):
+                older = window[i]
+                narrowed = frozenset(s for s in older if not succ(s).isdisjoint(later))
+                if len(narrowed) == len(older):
+                    break
+                window[i] = later = narrowed
         if self._done or self.k < self.threshold:
             return None
         est = self.current_estimate()
@@ -88,14 +114,10 @@ class Estimator:
 
     def current_estimate(self) -> frozenset:
         """States the machine can be in at step k - d, given everything
-        observed through step k (backward-narrowed, hence exact)."""
+        observed through step k (exact: the window is kept narrowed)."""
         if self.k == 0:
             raise UsageError("no symbol observed yet")
-        sets = list(self._window)
-        narrowed = sets[-1]
-        for c in reversed(sets[:-1]):
-            narrowed = frozenset(s for s in c if self.m.succ(s) & narrowed)
-        return narrowed
+        return self._window[0]
 
 
 def observe(m: Fsm, verdict: DiagVerdict, symbols):

@@ -107,6 +107,20 @@ class Fsm:
             return tuple(tuple(sorted(index[t] for t in step(s))) for s in self.states)
         return positions(self.succ), positions(self.pre)
 
+    @cached_property
+    def succ_by_label(self):
+        """For each state, its successors grouped by their output label:
+        ``succ_by_label[s][y]`` is the nonempty set of y-labelled successors
+        of s, and labels without one are absent.  Built once per machine;
+        the online estimator advances its state sets over it."""
+        index = {}
+        for s in self.states:
+            groups = {}
+            for t in self._succ[s]:
+                groups.setdefault(self.label[t], set()).add(t)
+            index[s] = {y: frozenset(ts) for y, ts in groups.items()}
+        return index
+
     def is_silent(self, i):
         return self.label[i] == EPSILON
 

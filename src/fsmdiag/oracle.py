@@ -49,26 +49,41 @@ def _joint_exists(m, i, j, k, step, within, avoid, memo, budget):
     """Is there a pair of executions of length k from (i, j), stepping with
     ``step`` (succ or pre), whose pairs of states all lie in ``within``, the
     second one avoiding the critical set throughout if ``avoid``?  With
-    ``within`` = Pi this asks for equal outputs at every position."""
-    if (i, j) not in within:
-        return False
-    if avoid and j in m.critical:
-        return False
-    if k == 1:
-        return True
-    key = (i, j, k)
-    if key in memo:
-        return memo[key]
-    budget.spend()
-    out = False
-    for a in step(i):
-        for b in step(j):
-            if _joint_exists(m, a, b, k - 1, step, within, avoid, memo, budget):
-                out = True
-                break
-        if out:
-            break
-    memo[key] = out
+    ``within`` = Pi this asks for equal outputs at every position.
+
+    Depth first over (pair, steps left) nodes with an explicit stack, so that
+    k is not bounded by the recursion limit; each node is expanded at most
+    once per ``memo``, and each expansion spends one unit of ``budget``."""
+
+    def known(i, j, k):
+        if (i, j) not in within or (avoid and j in m.critical):
+            return False
+        if k == 1:
+            return True
+        return memo.get((i, j, k))
+
+    def expand(i, j, k):
+        budget.spend()
+        return (i, j, k), ((a, b) for a in step(i) for b in step(j))
+
+    out = known(i, j, k)
+    if out is not None:
+        return out
+    stack = [expand(i, j, k)]
+    while stack:
+        key, children = stack[-1]
+        if out is not True:     # a fresh node, or its last child failed
+            for a, b in children:
+                out = known(a, b, key[2] - 1)
+                if out is not False:    # unknown yet, or found
+                    break
+            else:
+                out = False
+            if out is None:
+                stack.append(expand(a, b, key[2] - 1))
+                continue
+        memo[key] = out
+        stack.pop()
     return out
 
 

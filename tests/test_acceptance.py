@@ -8,7 +8,8 @@ import random
 import time
 
 from fsmdiag import (
-    Analysis, DiagParams, Estimator, FixpointSeries, Fsm, Horizon, check,
+    Analysis, DiagParams, DiagVerdict, Estimator, FixpointSeries, Fsm, Horizon,
+    PropertyKind, check,
     check_definition, crossing_index, desilent, enum_relation,
     enumerate_executions, execution_image, is_execution, output_of, s_series,
     validate,
@@ -205,6 +206,39 @@ def test_criterion_7_complexity_smoke():
     changed = [p for layer in series.layers for p in layer]
     assert len(set(changed)) == len(changed)
     print("CRITERION 7: PASS")
+
+
+def test_criterion_7_estimator_lag_independence():
+    # the window is narrowed only as far as a set shrinks, so once it settles
+    # a step costs the same at lag 2 and at lag 200; a ratio of the two
+    # times, not a wall-clock bound, keeps this meaningful on a busy host
+    rng = random.Random(1)
+    n = 100
+    states = [str(i) for i in range(n)]
+    label = {s: rng.choice("abc") for s in states}
+    trans = [(s, t) for s in states for t in rng.sample(states, rng.randint(1, 3))]
+    m = Fsm(states, states, label, trans, rng.sample(states, 5))
+    s = rng.choice(states)
+    walk = [label[s]]
+    while len(walk) < 20_000:
+        s = rng.choice(sorted(m.succ(s)))
+        walk.append(label[s])
+    best = {}
+    for lag in (2, 200):
+        v = DiagVerdict(PropertyKind.EVENTUAL, True,
+                        params=DiagParams(0, lag, None, 0, 0),
+                        bfgl=(1, lag + 1, 1, 1))
+        times = []
+        for _ in range(3):
+            est = Estimator(m, v)
+            t0 = time.perf_counter()
+            for y in walk:
+                est.step(y)
+            times.append(time.perf_counter() - t0)
+        assert est.lag == lag and est.k == len(walk)
+        best[lag] = min(times)
+    assert best[200] < 4 * best[2], best
+    print("CRITERION 7 (estimator lag 2 vs 200): PASS")
 
 
 def test_criterion_7_scale_smoke(monkeypatch):

@@ -2,8 +2,11 @@
 
 Each ``tests/fixtures/golden/<name>.json`` maps a command line to the exit
 code and the exact stdout that ``fsmdiag`` gave on ``tests/fixtures/<name>.fsm``.
-Run ``python tests/test_golden.py`` (with ``src`` on ``PYTHONPATH``) to record
-them again after a deliberate change of output.
+Besides ``check`` and ``sets``, it records ``observe`` for every observable
+property that holds on the machine, fed a seeded random walk of WALK_LENGTH
+symbols; the key names that stream ``WALK``.  Run ``python tests/test_golden.py``
+(with ``src`` on ``PYTHONPATH``) to record them again after a deliberate
+change of output.
 """
 
 import contextlib
@@ -11,10 +14,12 @@ import glob
 import io
 import json
 import os
+import random
 import sys
 
 import pytest
 
+from fsmdiag import check, load_fsm, validate
 from fsmdiag.checker import PropertyKind
 from fsmdiag.cli import main
 
@@ -23,6 +28,33 @@ GOLDEN = os.path.join(FIXTURES, "golden")
 COMMANDS = ([["check", "--json", "--property", kind.value] for kind in PropertyKind]
             + [["sets", "--json", "--steps"], ["sets", "--steps"]])
 MACHINES = sorted(os.path.basename(p)[:-4] for p in glob.glob(os.path.join(FIXTURES, "*.fsm")))
+WALK_LENGTH = 2000
+
+
+def walk(m, seed):
+    """Outputs of a random execution of WALK_LENGTH states, drawn with
+    ``random.Random(seed)`` over sorted initial states and successors."""
+    rng = random.Random(seed)
+    s = rng.choice(sorted(m.initial))
+    out = [m.label[s]]
+    while len(out) < WALK_LENGTH:
+        s = rng.choice(sorted(m.succ(s)))
+        out.append(m.label[s])
+    return " ".join(out)
+
+
+def commands(name):
+    """(key, argv after the file) for every recorded command on ``name``."""
+    out = [(" ".join(command), command) for command in COMMANDS]
+    m = load_fsm(os.path.join(FIXTURES, name + ".fsm"))
+    if not validate(m, "analysis").ok:
+        return out
+    trace = walk(m, "golden walk " + name)
+    for kind in PropertyKind:
+        if kind.observable and check(m, kind.value).holds:
+            command = ["observe", "--json", "--property", kind.value, "--trace"]
+            out.append((" ".join(command + ["WALK"]), command + [trace]))
+    return out
 
 
 def run(name, command):
@@ -33,16 +65,16 @@ def run(name, command):
 
 
 def record(name):
-    return {" ".join(command): run(name, command) for command in COMMANDS}
+    return {key: run(name, command) for key, command in commands(name)}
 
 
 @pytest.mark.parametrize("name", MACHINES)
 def test_outputs_match_recording(name):
     with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as fh:
         expected = json.load(fh)
-    assert set(expected) == {" ".join(command) for command in COMMANDS}
-    for line, got in record(name).items():
-        assert got == expected[line], line
+    assert set(expected) == {key for key, _ in commands(name)}
+    for key, got in record(name).items():
+        assert got == expected[key], key
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 import pytest
 
 from fsmdiag import (
-    Analysis, BudgetExceededError, DiagParams, Horizon, UsageError, check,
+    Analysis, BudgetExceededError, DiagParams, Fsm, Horizon, UsageError, check,
     check_definition, enum_relation, minimal_params, validate,
 )
 from conftest import random_live_fsm, sym, theta
@@ -49,6 +49,24 @@ class TestEnumRelation:
         a = Analysis(m2)
         with pytest.raises(BudgetExceededError):
             enum_relation(m2, "F", 8, budget=3)
+
+    def test_steps_beyond_recursion_limit(self):
+        # a two-state a-labelled cycle keeps every pair at every step; the
+        # search must not recurse once per step
+        m = Fsm("pq", "pq", {"p": "a", "q": "a"}, [("p", "q"), ("q", "p")])
+        a = Analysis(m)
+        for which in ("F", "B"):
+            rec, sigma = relation_args(a, which, 1200)
+            got = enum_relation(m, which, 1200, sigma)
+            assert got == rec and len(got.pairs()) == 4
+        # with p critical and a loop on q, q, q, ... avoids the critical set
+        # alongside p, q, p, ... in both directions
+        m = m.replace(trans=m.trans | {("q", "q")}, critical={"p"})
+        a = Analysis(m)
+        for which in ("Lambda", "Gamma"):
+            rec, sigma = relation_args(a, which, 1200)
+            got = enum_relation(m, which, 1200, sigma)
+            assert got == rec and set(got.pairs()) == sym([("p", "q")])
 
 
 class TestCheckDefinition:

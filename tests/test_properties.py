@@ -1,11 +1,14 @@
 """Property-based tests over randomly generated machines."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
 from fsmdiag import (
-    Analysis, Fsm, PairRelation, check, desilent, enum_relation,
-    enumerate_executions, fsm_to_text, max_silent_length, parse_fsm, validate,
+    Analysis, DiagParams, DiagVerdict, Estimator, Fsm,
+    InconsistentObservationError, PairRelation, PropertyKind, UsageError,
+    check, desilent, enum_relation, enumerate_executions, fsm_to_text,
+    max_silent_length, parse_fsm, validate,
 )
 from fsmdiag.epsremoval import silent_runs
 from fsmdiag.fixpoint import _avoid_seed, _shrink, compute_pi, s_series
@@ -190,6 +193,37 @@ def test_verdict_shape(m):
             assert v.witness is not None
             (i, j), _ = v.witness
             assert i in m.states and j in m.states
+
+
+@given(machines(max_states=7), st.integers(0, 5),
+       st.lists(st.integers(0, 3), min_size=1, max_size=12), st.data())
+@settings(COMMON, max_examples=200)
+def test_estimate_is_exact(m, lag, picks, data):
+    # at step k the estimate is {x[k - lag] : x an execution from the initial
+    # set whose outputs are the stream so far}, clamped to step 1 while
+    # k <= lag; the last lag + 1 states of those executions decide it.  A
+    # rejected symbol leaves the session as if it had never been sent.  Most
+    # symbols are the output of a possible next state, the rest (pick 0) any
+    # of a, b and the unknown z.
+    verdict = DiagVerdict(PropertyKind.EVENTUAL, True,
+                          params=DiagParams(0, lag, None, 0, 0),
+                          bfgl=(1, lag + 1, 1, 1))
+    est = Estimator(m, verdict)
+    tails, k = {()}, 0
+    for pick in picks:
+        moves = [(t, u) for t in tails for u in (m.succ(t[-1]) if t else m.initial)]
+        y = data.draw(st.sampled_from(sorted({m.label[u] for _, u in moves}) if pick else "abz"))
+        nxt = {(t + (u,))[-(lag + 1):] for t, u in moves if m.label[u] == y}
+        if nxt:
+            est.step(y)
+            tails, k = nxt, k + 1
+        else:
+            error = UsageError if y not in m.outputs else InconsistentObservationError
+            with pytest.raises(error):
+                est.step(y)
+        assert est.k == k
+        if k:
+            assert est.current_estimate() == {t[0] for t in tails}
 
 
 @given(machines(allow_silent=True))
