@@ -155,7 +155,7 @@ class Analysis:
     @cached_property
     def block(self):
         """Pairs on the same side of the critical set."""
-        return same_block(self.m.states, self.m.critical)
+        return same_block(self.m.universe, self.m.critical)
 
 
 def _witness(rel: PairRelation, name: str):
@@ -218,7 +218,7 @@ def check_parametric(m: Fsm, analysis: Optional[Analysis] = None) -> DiagVerdict
         return DiagVerdict(kind, False,
                            witness=_witness(bad, "backward-reachable and forward-maskable"))
     frontier = tuple((b, f, 1, l) for b, f, l in
-                     _frontier(PairRelation.full(a.m.states), a.b_tilde, a.f, a.lam))
+                     _frontier(PairRelation.full(a.m.universe), a.b_tilde, a.f, a.lam))
 
     def mk(t):
         b, f, _, l = t
@@ -254,7 +254,7 @@ def check_eventual(m: Fsm, analysis: Optional[Analysis] = None) -> DiagVerdict:
     if bad:
         return DiagVerdict(kind, False,
                            witness=_witness(bad, "backward-maskable and forward-maskable"))
-    frontier = _frontier(PairRelation.full(a.m.states), a.b, a.f, a.gam, a.lam)
+    frontier = _frontier(PairRelation.full(a.m.universe), a.b, a.f, a.gam, a.lam)
 
     def mk(t):
         b, f, g, l = t
@@ -319,7 +319,7 @@ def check_initial_obs(m: Fsm, analysis: Optional[Analysis] = None) -> DiagVerdic
     if not a.m.critical <= a.m.initial:
         raise UsageError("initial-state observability requires the critical "
                          "set to consist of initial states")
-    mixed_init = product_relation(a.m.states, a.m.initial, a.m.initial) - a.block
+    mixed_init = product_relation(a.m.universe, a.m.initial, a.m.initial) - a.block
     bad = mixed_init & a.f.fixed_point
     if bad:
         return DiagVerdict(kind, False,

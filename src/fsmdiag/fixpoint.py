@@ -36,9 +36,9 @@ def compute_pi(m: Fsm) -> PairRelation:
     by_label = {}
     for s in m.states:
         by_label.setdefault(m.label[s], []).append(s)
-    rel = PairRelation(m.states)
+    rel = PairRelation(m.universe)
     for group in by_label.values():
-        rel = rel | product_relation(m.states, group, group)
+        rel = rel | product_relation(m.universe, group, group)
     return rel
 
 
@@ -50,11 +50,10 @@ def s_series(m: Fsm) -> FixpointSeries:
     of transition pairs rather than steps times relation size.  Liveness is
     not required.
     """
-    states = m.states
-    n = len(states)
+    n = m.universe.n
     succ, _ = m.adjacency
-    label = [m.label[s] for s in states]
-    first = product_relation(states, m.initial, m.initial) & compute_pi(m)
+    label = [m.label[s] for s in m.states]
+    first = product_relation(m.universe, m.initial, m.initial) & compute_pi(m)
     seen = bit_flags(first.bits, n * n)
     layers = [bit_indices(first.bits)]
     for layer in layers:        # grows while it is read, one layer per step
@@ -72,7 +71,7 @@ def s_series(m: Fsm) -> FixpointSeries:
                         nxt.append(q)
         if nxt:
             layers.append(nxt)
-    return FixpointSeries(first, PairRelation(states, flag_bits(seen)), layers[1:])
+    return FixpointSeries(first, PairRelation(m.universe, flag_bits(seen)), layers[1:])
 
 
 def _shrink(m: Fsm, first: PairRelation, forward: bool) -> FixpointSeries:
@@ -91,7 +90,7 @@ def _shrink(m: Fsm, first: PairRelation, forward: bool) -> FixpointSeries:
     """
     succ, pre = m.adjacency
     nbr, back = (succ, pre) if forward else (pre, succ)
-    n = len(m.states)
+    n = m.universe.n
     alive = bit_flags(first.bits, n * n)
     count = [0] * (n * n)
     layer = []
@@ -125,7 +124,7 @@ def _shrink(m: Fsm, first: PairRelation, forward: bool) -> FixpointSeries:
                             nxt.append(q)
         if nxt:
             layers.append(nxt)
-    return FixpointSeries(first, PairRelation(m.states, flag_bits(alive)), layers)
+    return FixpointSeries(first, PairRelation(m.universe, flag_bits(alive)), layers)
 
 
 def f_series(m: Fsm) -> FixpointSeries:
@@ -143,10 +142,7 @@ def f_series(m: Fsm) -> FixpointSeries:
 
 def b_series(m: Fsm, sigma: PairRelation) -> FixpointSeries:
     """Backward indistinguishability confined to the seed relation sigma."""
-    pi = compute_pi(m)
-    if sigma.states != pi.states:
-        raise UsageError("seed relation is over a different state universe")
-    if not sigma.issubset(pi):
+    if not sigma.issubset(compute_pi(m)):
         raise UsageError("seed relation must only relate equal-output states")
     if not sigma.is_symmetric():
         raise UsageError("seed relation must be symmetric")
@@ -161,7 +157,7 @@ class ProjectedSeries(FixpointSeries):
 
 def _avoid_seed(m: Fsm, s_star: PairRelation) -> PairRelation:
     non_critical = [s for s in m.states if s not in m.critical]
-    return product_relation(m.states, m.states, non_critical) & s_star
+    return product_relation(m.universe, m.states, non_critical) & s_star
 
 
 def _masking_series(m: Fsm, s_star: PairRelation, forward: bool) -> ProjectedSeries:
@@ -171,9 +167,9 @@ def _masking_series(m: Fsm, s_star: PairRelation, forward: bool) -> ProjectedSer
     plus their transposes, and the series ends at the last base layer that
     touches the rectangle."""
     base = _shrink(m, _avoid_seed(m, s_star), forward)
-    mixed = product_relation(m.states, m.critical,
+    mixed = product_relation(m.universe, m.critical,
                              [s for s in m.states if s not in m.critical])
-    n = len(m.states)
+    n = m.universe.n
     inside = bit_flags(mixed.bits, n * n)
     layers = [[q for p in layer if inside[p] for q in (p, p % n * n + p // n)]
               for layer in base.layers]

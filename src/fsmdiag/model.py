@@ -14,6 +14,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError, ParseError, UsageError
+from .relations import Universe
 
 #: Reserved token for the silent (null) output.
 EPSILON = "_"
@@ -31,12 +32,18 @@ def _budget(explicit: Optional[int]) -> int:
         raise UsageError("FSMDIAG_BUDGET must be an integer, not %r" % env) from None
 
 
+def _is_token(s) -> bool:
+    """A nonempty string without whitespace or ``#``: one fsm v1 token."""
+    return isinstance(s, str) and "#" not in s and s.split() == [s]
+
+
 class Fsm:
     """Immutable finite state machine with state outputs.
 
     Attributes
     ----------
-    states : tuple of state ids, sorted
+    states : tuple of state ids (tokens), sorted
+    universe : Universe of the states, held by every relation over them
     initial : frozenset of initial state ids
     outputs : frozenset of non-silent output symbols in use
     label : dict state id -> output symbol (possibly EPSILON)
@@ -48,9 +55,6 @@ class Fsm:
         states = tuple(sorted(set(states)))
         if not states:
             raise UsageError("a machine needs at least one state")
-        for s in states:
-            if not s or any(c.isspace() for c in s):
-                raise UsageError("state id %r is not a whitespace-free token" % (s,))
         known = set(states)
         initial = frozenset(initial)
         critical = frozenset(critical)
@@ -60,13 +64,18 @@ class Fsm:
             raise UsageError("initial states %s not declared" % sorted(initial - known))
         if not critical <= known:
             raise UsageError("critical states %s not declared" % sorted(critical - known))
-        missing = known - set(label)
-        if missing:
-            raise UsageError("states without output label: %s" % sorted(missing))
+        if set(label) != known:
+            raise UsageError("states without output label or labels without state: %s"
+                             % sorted(known ^ set(label), key=str))
+        for s in states:
+            if not (_is_token(s) and _is_token(label[s])):
+                raise UsageError("state %r and output label %r must be tokens: nonempty, "
+                                 "without whitespace or '#'" % (s, label[s]))
         for (a, b) in trans:
             if a not in known or b not in known:
                 raise UsageError("transition (%s, %s) uses undeclared states" % (a, b))
         self.states = states
+        self.universe = Universe(states)
         self.initial = initial
         self.label = label
         self.trans = trans
@@ -101,7 +110,7 @@ class Fsm:
         """``(succ, pre)``: for each state by its position in ``states``, the
         sorted positions of its successors (resp. predecessors).  Built once
         per machine; the fixed-point engines walk the pair graph over it."""
-        index = {s: i for i, s in enumerate(self.states)}
+        index = self.universe.index
 
         def positions(step):
             return tuple(tuple(sorted(index[t] for t in step(s))) for s in self.states)

@@ -64,7 +64,7 @@ def _joint_exists(m, i, j, k, step, within, avoid, memo, budget):
 
     def expand(i, j, k):
         budget.spend()
-        return (i, j, k), ((a, b) for a in step(i) for b in step(j))
+        return (i, j, k), ((a, b) for a in sorted(step(i)) for b in sorted(step(j)))
 
     out = known(i, j, k)
     if out is not None:
@@ -102,8 +102,8 @@ def enum_relation(m: Fsm, which: str, k: int,
     bud = _Budget(budget)
     states = m.states
     omega = m.critical
-    pi = PairRelation.from_pairs(states, [(i, j) for i in states for j in states
-                                          if m.label[i] == m.label[j]])
+    pi = PairRelation.from_pairs(m.universe, [(i, j) for i in states for j in states
+                                              if m.label[i] == m.label[j]])
     pairs = set()
 
     if which == "S":
@@ -134,27 +134,17 @@ def enum_relation(m: Fsm, which: str, k: int,
         for (i, j) in sigma.pairs():
             if _joint_exists(m, i, j, k, m.pre, sigma, False, memo, bud):
                 pairs.add((i, j))
-    elif which == "Lambda":
+    elif which in ("Lambda", "Gamma"):
         memo = {}
+        step, within = (m.succ, pi) if which == "Lambda" else (m.pre, sigma)
         for i in omega:
             for j in states:
-                if j in omega or (i, j) not in sigma:
-                    continue
-                if _joint_exists(m, i, j, k, m.succ, pi, True, memo, bud):
-                    pairs.add((i, j))
-                    pairs.add((j, i))
-    elif which == "Gamma":
-        memo = {}
-        for i in omega:
-            for j in states:
-                if j in omega:
-                    continue
-                if _joint_exists(m, i, j, k, m.pre, sigma, True, memo, bud):
-                    pairs.add((i, j))
-                    pairs.add((j, i))
+                if (j not in omega and (i, j) in sigma
+                        and _joint_exists(m, i, j, k, step, within, True, memo, bud)):
+                    pairs |= {(i, j), (j, i)}
     else:
         raise UsageError("unknown relation %r" % (which,))
-    return PairRelation.from_pairs(states, pairs)
+    return PairRelation.from_pairs(m.universe, pairs)
 
 
 # -- bounded semantic check of the diagnosability definitions ---------------
@@ -193,11 +183,6 @@ def check_definition(m: Fsm, prop, params, h: Horizon) -> OracleOutcome:
     g1, g2 = params.gamma1, params.gamma2
     bud = _Budget(h.budget)
     omega = m.critical
-    by_label = {}
-    for s in m.states:
-        by_label.setdefault(m.label[s], frozenset())
-    for lab in by_label:
-        by_label[lab] = frozenset(s for s in m.states if m.label[s] == lab)
 
     def advance(group, y, avoid):
         out = set()

@@ -1,8 +1,11 @@
 """Sets of ordered state pairs backed by a single big-integer bitset.
 
-A pair (i, j) over a fixed state ordering maps to bit index(i) * n + index(j).
-All set algebra is integer bit twiddling, so membership is O(1) and the whole
-relation occupies O(|X|^2) bits regardless of how full it is.
+A relation is ``(universe, bits)``.  Every relation over a machine holds the
+machine's one :class:`Universe` (``Fsm.universe``), so a relation costs O(1)
+to build, and a pair (i, j) maps to bit index[i] * n + index[j].  Relations
+over universes with the same states combine; others raise UsageError.  All
+set algebra is integer bit twiddling, so membership is O(1) and the whole
+relation occupies O(|X|^2) bits.
 """
 
 from __future__ import annotations
@@ -38,55 +41,63 @@ def bit_indices(bits: int) -> list:
     return list(compress(range(len(flags)), flags))
 
 
-class PairRelation:
-    """Immutable set of ordered pairs over a fixed, sorted state universe."""
+class Universe:
+    """A machine's ``states`` in order, their positions ``index`` and their
+    number ``n``; equal to any universe with the same states."""
 
-    __slots__ = ("states", "_index", "bits")
+    __slots__ = ("states", "index", "n")
 
-    def __init__(self, states: Sequence[str], bits: int = 0):
+    def __init__(self, states: Sequence[str]):
         self.states = tuple(states)
-        self._index = {s: i for i, s in enumerate(self.states)}
+        self.index = {s: i for i, s in enumerate(self.states)}
+        self.n = len(self.states)
+
+    def __eq__(self, other):
+        if not isinstance(other, Universe):
+            return NotImplemented
+        return self is other or self.states == other.states
+
+    def __hash__(self):
+        return hash(self.states)
+
+
+class PairRelation:
+    """Immutable set of ordered pairs over a state universe."""
+
+    __slots__ = ("universe", "bits")
+
+    def __init__(self, universe: Universe, bits: int = 0):
+        self.universe = universe
         self.bits = bits
 
     @classmethod
-    def from_pairs(cls, states, pairs):
-        rel = cls(states)
+    def from_pairs(cls, universe, pairs):
+        index, n = universe.index, universe.n
         bits = 0
-        n = len(rel.states)
         for a, b in pairs:
             try:
-                bits |= 1 << (rel._index[a] * n + rel._index[b])
+                bits |= 1 << (index[a] * n + index[b])
             except KeyError:
                 raise UsageError("pair (%s, %s) outside the state universe" % (a, b)) from None
-        return cls(rel.states, bits)
+        return cls(universe, bits)
 
     @classmethod
-    def diagonal(cls, states):
-        rel = cls(states)
-        n = len(rel.states)
-        bits = 0
-        for i in range(n):
-            bits |= 1 << (i * n + i)
-        return cls(rel.states, bits)
+    def diagonal(cls, universe):
+        return cls.from_pairs(universe, zip(universe.states, universe.states))
 
     @classmethod
-    def full(cls, states):
-        n = len(tuple(states))
-        return cls(states, (1 << (n * n)) - 1)
+    def full(cls, universe):
+        return cls(universe, (1 << universe.n ** 2) - 1)
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def n(self):
-        return len(self.states)
-
     def __contains__(self, pair):
         a, b = pair
-        ia = self._index.get(a)
-        ib = self._index.get(b)
+        ia = self.universe.index.get(a)
+        ib = self.universe.index.get(b)
         if ia is None or ib is None:
             return False
-        return bool(self.bits >> (ia * self.n + ib) & 1)
+        return bool(self.bits >> (ia * self.universe.n + ib) & 1)
 
     def __len__(self):
         return self.bits.bit_count()
@@ -97,18 +108,18 @@ class PairRelation:
     def __eq__(self, other):
         if not isinstance(other, PairRelation):
             return NotImplemented
-        return self.states == other.states and self.bits == other.bits
+        return self.universe == other.universe and self.bits == other.bits
 
     def __hash__(self):
-        return hash((self.states, self.bits))
+        return hash((self.universe, self.bits))
 
     def __iter__(self):
         return iter(self.pairs())
 
     def pairs(self) -> list:
         """Sorted list of (state, state) pairs."""
-        n = self.n
-        states = self.states
+        n = self.universe.n
+        states = self.universe.states
         return [(states[idx // n], states[idx % n]) for idx in bit_indices(self.bits)]
 
     def __repr__(self):
@@ -117,58 +128,57 @@ class PairRelation:
     # -- algebra -----------------------------------------------------------
 
     def _check(self, other):
-        if self.states != other.states:
+        if self.universe != other.universe:
             raise UsageError("relations over different state universes")
 
     def __and__(self, other):
         self._check(other)
-        return PairRelation(self.states, self.bits & other.bits)
+        return PairRelation(self.universe, self.bits & other.bits)
 
     def __or__(self, other):
         self._check(other)
-        return PairRelation(self.states, self.bits | other.bits)
+        return PairRelation(self.universe, self.bits | other.bits)
 
     def __sub__(self, other):
         self._check(other)
-        return PairRelation(self.states, self.bits & ~other.bits)
+        return PairRelation(self.universe, self.bits & ~other.bits)
 
     def complement(self):
-        n = self.n
-        return PairRelation(self.states, ~self.bits & ((1 << (n * n)) - 1))
+        n = self.universe.n
+        return PairRelation(self.universe, ~self.bits & ((1 << (n * n)) - 1))
 
     def issubset(self, other):
         self._check(other)
         return self.bits & ~other.bits == 0
 
     def symmetric_closure(self):
-        n = self.n
+        n = self.universe.n
         flags = bit_flags(self.bits, n * n)
         transposed = bytearray().join(flags[j::n] for j in range(n))  # row j: column j
-        return PairRelation(self.states, self.bits | flag_bits(transposed))
+        return PairRelation(self.universe, self.bits | flag_bits(transposed))
 
     def is_symmetric(self):
         return self.bits == self.symmetric_closure().bits
 
 
-def product_relation(states, left: Iterable[str], right: Iterable[str]) -> PairRelation:
+def product_relation(universe, left: Iterable[str], right: Iterable[str]) -> PairRelation:
     """The rectangle left x right as a PairRelation."""
-    rel = PairRelation(states)
-    n = rel.n
+    index = universe.index
     row = 0
     for b in right:
-        row |= 1 << rel._index[b]
+        row |= 1 << index[b]
     bits = 0
     for a in left:
-        bits |= row << (rel._index[a] * n)
-    return PairRelation(states, bits)
+        bits |= row << (index[a] * universe.n)
+    return PairRelation(universe, bits)
 
 
-def same_block(states, omega: Iterable[str]) -> PairRelation:
+def same_block(universe, omega: Iterable[str]) -> PairRelation:
     """(Omega x Omega) union (complement x complement): pairs on the same side."""
     om = set(omega)
-    rest = [s for s in states if s not in om]
-    inside = product_relation(states, om, om)
-    outside = product_relation(states, rest, rest)
+    rest = [s for s in universe.states if s not in om]
+    inside = product_relation(universe, om, om)
+    outside = product_relation(universe, rest, rest)
     return inside | outside
 
 
@@ -205,9 +215,9 @@ class FixpointSeries:
 
     def __iter__(self):
         """R_1, ..., R_K, each built from the one before by its layer."""
-        flags = bit_flags(self.first.bits, self.first.n ** 2)
+        flags = bit_flags(self.first.bits, self.first.universe.n ** 2)
         yield self.first
         for layer in self.layers:
             for p in layer:
                 flags[p] ^= 1
-            yield PairRelation(self.first.states, flag_bits(flags))
+            yield PairRelation(self.first.universe, flag_bits(flags))

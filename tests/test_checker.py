@@ -26,6 +26,21 @@ def test_analysis_memoizes(m1):
     assert a.lam is a.lam
 
 
+@pytest.mark.parametrize("name", ["m1", "m2", "fork"])
+def test_every_relation_holds_the_machine_universe(name, request):
+    a = Analysis(request.getfixturevalue(name))
+    # the two universes are equal (same states) but not the same object
+    assert a.restricted.universe is not a.m.universe
+    for universe, relations, series in (
+            (a.m.universe, [a.pi, a.block], [a.s, a.f, a.b, a.lam, a.gam]),
+            (a.restricted.universe, [], [a.s_tilde, a.b_tilde])):
+        for s in series:
+            relations += [*s, s.first, s.fixed_point]
+        assert all(rel.universe is universe for rel in relations)
+    # relations of the machine and of its restriction still combine
+    assert (a.s_tilde.fixed_point & a.lam.fixed_point).universe is a.restricted.universe
+
+
 def test_diag_params_validation():
     with pytest.raises(UsageError):
         DiagParams(-1, 0, None, 0, 0)

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from fsmdiag import (
-    Fsm, PairRelation, PreconditionError, UsageError, b_series, compute_pi,
-    f_series, gamma_series, lambda_series, s_series,
+    Fsm, PairRelation, PreconditionError, Universe, UsageError, b_series,
+    compute_pi, f_series, gamma_series, lambda_series, s_series,
 )
 from conftest import sym, theta
 
@@ -20,11 +20,11 @@ class TestPi:
         assert set(compute_pi(m1).pairs()) == expected | theta(m1.states)
 
     def test_single_output(self, one_output):
-        assert compute_pi(one_output) == PairRelation.full(one_output.states)
+        assert compute_pi(one_output) == PairRelation.full(one_output.universe)
 
     def test_all_distinct(self):
         m = Fsm("ab", "a", {"a": "x", "b": "y"}, [("a", "b"), ("b", "a")])
-        assert compute_pi(m) == PairRelation.diagonal(m.states)
+        assert compute_pi(m) == PairRelation.diagonal(m.universe)
 
 
 class TestS:
@@ -45,7 +45,7 @@ class TestS:
 
     def test_single_initial_distinct_outputs_diagonal(self):
         m = Fsm("ab", "a", {"a": "x", "b": "y"}, [("a", "b"), ("b", "a")])
-        assert s_series(m).fixed_point.issubset(PairRelation.diagonal(m.states))
+        assert s_series(m).fixed_point.issubset(PairRelation.diagonal(m.universe))
 
     def test_tolerates_missing_liveness(self, m2):
         # the critical-restricted machine has sink states by construction
@@ -69,14 +69,14 @@ class TestF:
         f = f_series(m2)
         prev = None
         for rel in f:
-            assert PairRelation.diagonal(m2.states).issubset(rel)
+            assert PairRelation.diagonal(m2.universe).issubset(rel)
             if prev is not None:
                 assert rel.issubset(prev)
             prev = rel
 
     def test_distinct_outputs(self):
         m = Fsm("ab", "a", {"a": "x", "b": "y"}, [("a", "b"), ("b", "a")])
-        assert f_series(m).fixed_point == PairRelation.diagonal(m.states)
+        assert f_series(m).fixed_point == PairRelation.diagonal(m.universe)
 
     def test_requires_liveness(self):
         m = Fsm("ab", "a", {"a": "x", "b": "x"}, [("a", "b")])
@@ -91,30 +91,30 @@ class TestB:
         assert b.convergence_step == 2
 
     def test_diagonal_seed_on_strongly_connected(self, m1):
-        d = PairRelation.diagonal(m1.states)
+        d = PairRelation.diagonal(m1.universe)
         assert b_series(m1, d).fixed_point == d
 
     def test_can_empty_out(self):
         # a has no predecessor, so neither seed pair survives one step back
         m = Fsm("ab", "a", {"a": "x", "b": "x"}, [("a", "b"), ("b", "b")])
-        seed = PairRelation.from_pairs(m.states, [("a", "b"), ("b", "a")])
+        seed = PairRelation.from_pairs(m.universe, [("a", "b"), ("b", "a")])
         series = b_series(m, seed)
         assert series.emptied_at == 2
         assert not series.fixed_point
 
     def test_seed_must_be_label_equal(self, m1):
-        bad = PairRelation.from_pairs(m1.states, [("1", "2"), ("2", "1")])
+        bad = PairRelation.from_pairs(m1.universe, [("1", "2"), ("2", "1")])
         with pytest.raises(UsageError):
             b_series(m1, bad)
 
     def test_seed_must_be_symmetric(self, m1):
-        bad = PairRelation.from_pairs(m1.states, [("1", "3")])
+        bad = PairRelation.from_pairs(m1.universe, [("1", "3")])
         with pytest.raises(UsageError):
             b_series(m1, bad)
 
     def test_seed_universe_mismatch(self, m1):
         with pytest.raises(UsageError):
-            b_series(m1, PairRelation.diagonal(("x", "y")))
+            b_series(m1, PairRelation.diagonal(Universe(("x", "y"))))
 
 
 class TestLambdaGamma:

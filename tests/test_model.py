@@ -40,6 +40,12 @@ class TestFsm:
     @pytest.mark.parametrize("kwargs", [
         dict(states=[], initial=[], label={}, trans=[]),
         dict(states=["a b"], initial=[], label={"a b": "x"}, trans=[]),
+        dict(states=["a#"], initial=[], label={"a#": "x"}, trans=[]),
+        dict(states=["a"], initial=[], label={"a": ""}, trans=[]),
+        dict(states=["a"], initial=[], label={"a": "x y"}, trans=[]),
+        dict(states=["a"], initial=[], label={"a": "x#"}, trans=[]),
+        dict(states=["a"], initial=[], label={"a": 1}, trans=[]),
+        dict(states=["a"], initial=[], label={"a": "x", "b": "y"}, trans=[]),
         dict(states=["a"], initial=["z"], label={"a": "x"}, trans=[]),
         dict(states=["a"], initial=[], label={}, trans=[]),
         dict(states=["a"], initial=[], label={"a": "x"}, trans=[("a", "z")]),

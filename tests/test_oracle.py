@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from fsmdiag import (
     Analysis, BudgetExceededError, DiagParams, Fsm, Horizon, UsageError, check,
     check_definition, enum_relation, minimal_params, validate,
 )
-from conftest import random_live_fsm, sym, theta
+from conftest import fixture_path, random_live_fsm, sym, theta
 
 RELATIONS = ("S", "F", "B", "Lambda", "Gamma")
 
@@ -49,6 +53,34 @@ class TestEnumRelation:
         a = Analysis(m2)
         with pytest.raises(BudgetExceededError):
             enum_relation(m2, "F", 8, budget=3)
+
+    def test_budget_independent_of_hash_seed(self):
+        # the search stops at the first joint successor it finds, so which
+        # nodes it expands depends on the order it walks successors in
+        script = (
+            "import sys\n"
+            "import fsmdiag.oracle as oracle\n"
+            "from fsmdiag import Analysis, load_fsm\n"
+            "budgets = []\n"
+            "class Recorded(oracle._Budget):\n"
+            "    def __init__(self, cap):\n"
+            "        super().__init__(cap)\n"
+            "        budgets.append(self)\n"
+            "oracle._Budget = Recorded\n"
+            "m = load_fsm(sys.argv[1])\n"
+            "s_star = Analysis(m).s.fixed_point\n"
+            "for which in ('F', 'B', 'Lambda', 'Gamma'):\n"
+            "    oracle.enum_relation(m, which, 8, None if which == 'F' else s_star)\n"
+            "print([b.used for b in budgets])\n")
+        spent = set()
+        for seed in range(8):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            done = subprocess.run([sys.executable, "-c", script, fixture_path("m2.fsm")],
+                                  env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            spent.add(done.stdout)
+        assert len(spent) == 1, spent
 
     def test_steps_beyond_recursion_limit(self):
         # a two-state a-labelled cycle keeps every pair at every step; the

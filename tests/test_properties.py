@@ -45,6 +45,30 @@ def test_text_round_trip(m):
     assert parse_fsm(fsm_to_text(m)) == m
 
 
+# short strings that are often tokens, often differ from one by a single
+# character the text format gives a meaning, and sometimes are anything
+TEXT = st.one_of(
+    st.text("ab#=", max_size=3),
+    st.text(st.one_of(st.sampled_from("ab \t\n\r\x0b\x1c\x85\u2028"),
+                      st.characters(blacklist_categories=("Cs",))), max_size=3))
+
+
+@given(st.lists(TEXT, min_size=1, max_size=4, unique=True), st.data())
+@settings(COMMON, max_examples=300)
+def test_machine_is_rejected_or_survives_text(ids, data):
+    # sometimes a label for a state that is not declared
+    label = {**data.draw(st.dictionaries(TEXT, TEXT, max_size=1)),
+             **{s: data.draw(TEXT) for s in ids}}
+    trans = data.draw(st.sets(st.tuples(st.sampled_from(ids), st.sampled_from(ids))))
+    initial = data.draw(st.sets(st.sampled_from(ids)))
+    critical = data.draw(st.sets(st.sampled_from(ids)))
+    try:
+        m = Fsm(ids, initial, label, trans, critical)
+    except UsageError:
+        return
+    assert parse_fsm(fsm_to_text(m)) == m
+
+
 @given(analysis_machines())
 @COMMON
 def test_relation_containments(m):
@@ -55,7 +79,7 @@ def test_relation_containments(m):
     assert a.lam.fixed_point.issubset(a.f.fixed_point & s_star)
     assert a.gam.fixed_point.issubset(a.b.fixed_point)
     assert a.b.fixed_point.issubset(s_star)
-    assert PairRelation.diagonal(m.states).issubset(a.pi)
+    assert PairRelation.diagonal(m.universe).issubset(a.pi)
 
 
 @given(analysis_machines())
@@ -116,10 +140,10 @@ def test_shrink_matches_synchronous_recursion(m, forward, which, data):
     elif which == "avoid":
         seed = _avoid_seed(m, s_series(m).fixed_point)
     elif which == "empty":
-        seed = PairRelation(states)
+        seed = PairRelation(m.universe)
     else:  # any relation, symmetric or not
         pair = st.tuples(st.sampled_from(states), st.sampled_from(states))
-        seed = PairRelation.from_pairs(states, data.draw(st.sets(pair)))
+        seed = PairRelation.from_pairs(m.universe, data.draw(st.sets(pair)))
     series = _shrink(m, seed, forward)
     steps = reference_shrink(m, seed, m.succ if forward else m.pre)
     assert series.convergence_step == len(steps)

@@ -2,14 +2,15 @@ import random
 
 import pytest
 
-from fsmdiag import PairRelation, UsageError, product_relation, same_block
+from fsmdiag import PairRelation, Universe, UsageError, product_relation, same_block
 from fsmdiag.relations import FixpointSeries, bit_flags, bit_indices, flag_bits
 
 STATES = ("a", "b", "c")
+U = Universe(STATES)
 
 
 def test_from_pairs_and_membership():
-    r = PairRelation.from_pairs(STATES, [("a", "b"), ("c", "c")])
+    r = PairRelation.from_pairs(U, [("a", "b"), ("c", "c")])
     assert ("a", "b") in r
     assert ("b", "a") not in r
     assert ("z", "a") not in r
@@ -19,40 +20,40 @@ def test_from_pairs_and_membership():
 
 def test_from_pairs_outside_universe():
     with pytest.raises(UsageError):
-        PairRelation.from_pairs(STATES, [("a", "z")])
+        PairRelation.from_pairs(U, [("a", "z")])
 
 
 def test_diagonal_full_empty():
-    assert PairRelation.diagonal(STATES).pairs() == [("a", "a"), ("b", "b"), ("c", "c")]
-    assert len(PairRelation.full(STATES)) == 9
-    assert not PairRelation(STATES)
-    assert PairRelation.diagonal(STATES)
+    assert PairRelation.diagonal(U).pairs() == [("a", "a"), ("b", "b"), ("c", "c")]
+    assert len(PairRelation.full(U)) == 9
+    assert not PairRelation(U)
+    assert PairRelation.diagonal(U)
 
 
 def test_algebra():
-    d = PairRelation.diagonal(STATES)
-    f = PairRelation.full(STATES)
-    r = PairRelation.from_pairs(STATES, [("a", "b"), ("a", "a")])
+    d = PairRelation.diagonal(U)
+    f = PairRelation.full(U)
+    r = PairRelation.from_pairs(U, [("a", "b"), ("a", "a")])
     assert (r & d).pairs() == [("a", "a")]
     assert (r | d) == (d | r)
     assert (f - d).complement() == d
     assert d.issubset(f)
     assert not f.issubset(d)
-    assert (r - r) == PairRelation(STATES)
+    assert (r - r) == PairRelation(U)
 
 
 def test_universe_mismatch():
     with pytest.raises(UsageError):
-        PairRelation(STATES) & PairRelation(("x", "y"))
+        PairRelation(U) & PairRelation(Universe(("x", "y")))
 
 
 def test_symmetric_closure():
-    r = PairRelation.from_pairs(STATES, [("a", "b")])
+    r = PairRelation.from_pairs(U, [("a", "b")])
     assert not r.is_symmetric()
     closed = r.symmetric_closure()
     assert closed.is_symmetric()
     assert set(closed.pairs()) == {("a", "b"), ("b", "a")}
-    assert PairRelation.diagonal(STATES).is_symmetric()
+    assert PairRelation.diagonal(U).is_symmetric()
     # against the set transpose: empty, full, one row, one column, random
     rng = random.Random(0)
     for n in (1, 2, 5, 17):
@@ -63,12 +64,12 @@ def test_symmetric_closure():
         relations += [rng.sample(everything, rng.randint(0, len(everything)))
                       for _ in range(20)]
         for pairs in relations:
-            closed = PairRelation.from_pairs(states, pairs).symmetric_closure()
+            closed = PairRelation.from_pairs(Universe(states), pairs).symmetric_closure()
             assert set(closed.pairs()) == set(pairs) | {(b, a) for a, b in pairs}
 
 
 def test_iteration_and_repr():
-    r = PairRelation.from_pairs(STATES, [("b", "c"), ("a", "a")])
+    r = PairRelation.from_pairs(U, [("b", "c"), ("a", "a")])
     assert list(r) == [("a", "a"), ("b", "c")]
     assert "b" in repr(r)
 
@@ -85,18 +86,18 @@ def test_bit_helpers(bits):
 
 
 def test_product_relation():
-    r = product_relation(STATES, ["a", "b"], ["c"])
+    r = product_relation(U, ["a", "b"], ["c"])
     assert set(r.pairs()) == {("a", "c"), ("b", "c")}
-    assert len(product_relation(STATES, STATES, STATES)) == 9
+    assert len(product_relation(U, STATES, STATES)) == 9
 
 
 def test_same_block():
-    r = same_block(STATES, ["a"])
+    r = same_block(U, ["a"])
     assert ("a", "a") in r
     assert ("b", "c") in r
     assert ("a", "b") not in r
     # empty block: everything is on the same side
-    assert len(same_block(STATES, [])) == 9
+    assert len(same_block(U, [])) == 9
 
 
 def pair_index(p):
@@ -105,8 +106,8 @@ def pair_index(p):
 
 class TestFixpointSeries:
     def make_grow(self):
-        first = PairRelation.from_pairs(STATES, [("a", "a")])
-        fp = PairRelation.from_pairs(STATES, [("a", "a"), ("a", "b"), ("b", "c")])
+        first = PairRelation.from_pairs(U, [("a", "a")])
+        fp = PairRelation.from_pairs(U, [("a", "a"), ("a", "b"), ("b", "c")])
         # (a,b) appears at step 2, (b,c) at step 3
         return FixpointSeries(first, fp, [[pair_index(("a", "b"))],
                                           [pair_index(("b", "c"))]])
@@ -119,8 +120,8 @@ class TestFixpointSeries:
         assert s.at(99) == s.fixed_point  # clamped past convergence
 
     def test_shrink_reconstruction(self):
-        first = PairRelation.from_pairs(STATES, [("a", "a"), ("a", "b"), ("b", "c")])
-        fp = PairRelation.from_pairs(STATES, [("a", "a")])
+        first = PairRelation.from_pairs(U, [("a", "a"), ("a", "b"), ("b", "c")])
+        fp = PairRelation.from_pairs(U, [("a", "a")])
         # (a,b) leaves at step 2, (b,c) at step 3
         s = FixpointSeries(first, fp, [[pair_index(("a", "b"))],
                                        [pair_index(("b", "c"))]])
@@ -143,7 +144,7 @@ class TestFixpointSeries:
         assert steps[0] == s.first and steps[-1] == s.fixed_point
 
     def test_no_layers(self):
-        r = PairRelation.from_pairs(STATES, [("a", "b")])
+        r = PairRelation.from_pairs(U, [("a", "b")])
         s = FixpointSeries(r, r, [])
         assert s.convergence_step == 1
         assert list(s) == [r]
