@@ -7,8 +7,11 @@ violations, 2 usage or parse error, 3 resource (budget) exhaustion.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .checker import Analysis, DiagParams, PropertyKind, check
@@ -32,9 +35,79 @@ def _load(args):
     return m
 
 
+class _Encoded(dict):
+    """The JSON text of each string looked up, encoded on first lookup."""
+
+    def __missing__(self, text):
+        encoded = self[text] = encode_basestring_ascii(text)
+        return encoded
+
+
+def _pair_items(seq, inner, encoded):
+    """The rendered items of ``seq`` at indent ``inner`` when every item is
+    a tuple of two str, else None.  Each distinct first and second element
+    is rendered once."""
+    if set(map(type, seq)) != {tuple} or set(map(len, seq)) != {2}:
+        return None
+    firsts, seconds = zip(*seq)
+    if set(map(type, firsts)) | set(map(type, seconds)) != {str}:
+        return None
+    item = inner + "  "
+    opens = {a: "[" + item + encoded[a] + "," + item for a in set(firsts)}
+    closes = {b: encoded[b] + inner + "]" for b in set(seconds)}
+    return map(str.__add__, map(opens.__getitem__, firsts), map(closes.__getitem__, seconds))
+
+
+def _dumps(obj):
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for dicts with str keys,
+    lists, tuples, str, int, bool and None.
+
+    An indent sends ``json.dumps`` through its pure-Python encoder; this
+    writes the same text directly.  Strings go through the C string encoder,
+    each distinct one once per call, and a sequence of (str, str) pairs, the
+    bulk of ``sets`` output, is rendered in one join.
+    """
+    out = []
+    _write_json(obj, "\n", out, _Encoded())
+    return "".join(out)
+
+
+def _write_json(obj, newline, out, encoded):
+    if isinstance(obj, str):
+        out.append(encoded[obj])
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + encoded[key] + ": ")
+            _write_json(obj[key], inner, out, encoded)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        items = _pair_items(obj, inner, encoded)
+        if items is not None:
+            out.append("[" + inner + ("," + inner).join(items) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, inner, out, encoded)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(obj))
+
+
 def _emit(args, report, lines):
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_dumps(report))
     else:
         for line in lines:
             print(line)
@@ -60,12 +133,21 @@ def cmd_validate(args):
 _SETS = ("Pi", "S", "Stilde", "F", "B", "Lambda", "Gamma")
 
 
+def _sets_lines(payload):
+    """The text form of ``cmd_sets``' payload, rendered only when printed."""
+    for name, entry in payload.items():
+        conv = entry["convergence_step"]
+        head = name if conv is None else "%s (converges at %d)" % (name, conv)
+        yield "%s: %s" % (head, " ".join("(%s,%s)" % p for p in entry["fixed_point"]))
+        for k, step in enumerate(entry.get("steps", ()), 1):
+            yield "  step %d: %s" % (k, " ".join("(%s,%s)" % p for p in step))
+
+
 def cmd_sets(args):
     m = _load(args)
     a = Analysis(m)
     wanted = [args.set] if args.set else list(_SETS)
     payload = {}
-    lines = []
     for name in wanted:
         if name == "Pi":
             series = None
@@ -74,17 +156,11 @@ def cmd_sets(args):
             series = {"S": a.s, "Stilde": a.s_tilde, "F": a.f, "B": a.b,
                       "Lambda": a.lam, "Gamma": a.gam}[name]
             fp, conv = series.fixed_point, series.convergence_step
-        entry = {"fixed_point": [list(p) for p in fp.pairs()],
-                 "convergence_step": conv}
-        steps = [rel.pairs() for rel in series] if args.steps and series is not None else []
-        if steps:
-            entry["steps"] = [[list(p) for p in pairs] for pairs in steps]
+        entry = {"fixed_point": fp.pairs(), "convergence_step": conv}
+        if args.steps and series is not None:
+            entry["steps"] = [rel.pairs() for rel in series]
         payload[name] = entry
-        head = name if conv is None else "%s (converges at %d)" % (name, conv)
-        lines.append("%s: %s" % (head, " ".join("(%s,%s)" % p for p in fp.pairs())))
-        for k, pairs in enumerate(steps, 1):
-            lines.append("  step %d: %s" % (k, " ".join("(%s,%s)" % p for p in pairs)))
-    _emit(args, payload, lines)
+    _emit(args, payload, _sets_lines(payload))
     return 0
 
 
@@ -110,16 +186,41 @@ def cmd_check(args):
     return 0 if v.holds else 1
 
 
+def _write_files(texts):
+    """Write each path's text, opening every path before writing any.
+
+    A path is opened for appending, which truncates nothing, and a regular
+    file is emptied only once every path is open.  So a destination that
+    cannot be opened leaves each file as it was, and the files this call
+    created are removed again.
+    """
+    opened = []
+    try:
+        for path in texts:
+            created = not os.path.exists(path)
+            opened.append((path, open(path, "a", encoding="utf-8"), created))
+    except OSError:
+        for path, fh, created in opened:
+            fh.close()
+            if created:
+                os.remove(path)
+        raise
+    for path, fh, _ in opened:
+        with fh:
+            if os.path.isfile(path):
+                fh.truncate(0)
+            fh.write(texts[path])
+
+
 def cmd_desilent(args):
     m = _load(args)
     result = desilent(m)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(fsm_to_text(result.m_hat))
+    texts = {args.output: fsm_to_text(result.m_hat)}
     if args.provenance:
         prov = {name: {"q": q, "w": w, "crossed": crossed}
-                for name, (q, w, crossed) in sorted(result.provenance.items())}
-        with open(args.provenance, "w", encoding="utf-8") as fh:
-            json.dump(prov, fh, indent=2, sort_keys=True)
+                for name, (q, w, crossed) in result.provenance.items()}
+        texts[args.provenance] = _dumps(prov)
+    _write_files(texts)
     _emit(args, {"states": len(result.m_hat.states),
                  "critical": sorted(result.omega_hat),
                  "output": args.output},
@@ -244,9 +345,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser of this process.  Building it costs some twenty times
+    what a parse does, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ParseError, UsageError) as exc:

@@ -11,7 +11,7 @@ relation occupies O(|X|^2) bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import UsageError
@@ -117,10 +117,16 @@ class PairRelation:
         return iter(self.pairs())
 
     def pairs(self) -> list:
-        """Sorted list of (state, state) pairs."""
+        """Sorted list of (state, state) pairs, decoded row by row."""
         n = self.universe.n
         states = self.universe.states
-        return [(states[idx // n], states[idx % n]) for idx in bit_indices(self.bits)]
+        flags = bit_flags(self.bits, n * n)
+        out = []
+        for i, a in enumerate(states):
+            row = flags[i * n:i * n + n]
+            if 1 in row:
+                out += zip(repeat(a), compress(states, row))
+        return out
 
     def __repr__(self):
         return "PairRelation(%r)" % (self.pairs(),)

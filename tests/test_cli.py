@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from fsmdiag import FixpointSeries, load_fsm, max_silent_length, parse_fsm
+from fsmdiag import FixpointSeries, cli, load_fsm, max_silent_length, parse_fsm
 from fsmdiag.cli import main
 from fsmdiag.fixpoint import ProjectedSeries
 from conftest import FIXTURES, fixture_path
@@ -190,6 +190,25 @@ class TestDesilent:
         prov = json.loads(prov_file.read_text())
         assert prov["3~1+"] == {"q": "3", "w": "1", "crossed": True}
 
+    @pytest.mark.parametrize("before", [None, "kept\n"])
+    def test_unopenable_destination_writes_nothing(self, capsys, tmp_path, monkeypatch, before):
+        monkeypatch.chdir(tmp_path)
+        if before is not None:
+            (tmp_path / "out.fsm").write_text(before)
+        code, out, err = run(capsys, "desilent", SILENT,
+                             "-o", "out.fsm", "--provenance", "nodir/p.json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if before is None:
+            assert not (tmp_path / "out.fsm").exists()
+        else:
+            assert (tmp_path / "out.fsm").read_text() == before
+
+    def test_output_to_a_device(self, capsys):
+        code, out, _ = run(capsys, "desilent", SILENT, "-o", os.devnull, "--json")
+        assert code == 0
+        assert json.loads(out)["output"] == os.devnull
+
 
 class TestObserve:
     def test_trace_event(self, capsys):
@@ -326,6 +345,62 @@ def test_version(capsys):
     assert "fsmdiag" in capsys.readouterr().out
 
 
+# a usage error, --version, then one call of each kind of verb; the sets
+# call comes first so that its --set and --steps would show on later verbs
+PARSER_SEQUENCE = [
+    ["check", M1],
+    ["--version"],
+    ["sets", M1, "--set", "Pi"],
+    ["check", M1, "--property", "eventual", "--json"],
+    ["observe", M1, "--property", "eventual", "--trace", "c b a b"],
+    ["validate", M1, "--json"],
+]
+
+
+def test_reused_parser_matches_a_fresh_one(capsys, monkeypatch):
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = "SystemExit(%s)" % exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    fresh = []
+    for argv in PARSER_SEQUENCE:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+
+    build, built, namespaces = cli.build_parser, [], []
+
+    def build_recording():
+        parser = build()
+        parse = parser.parse_args
+
+        def parse_recording(args=None, namespace=None):
+            ns = parse(args, namespace)
+            namespaces.append((args, set(vars(ns))))
+            return ns
+
+        parser.parse_args = parse_recording
+        built.append(parser)
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", build_recording)
+    cli._parser.cache_clear()
+    try:
+        reused = [outcome(argv) for argv in PARSER_SEQUENCE]
+    finally:
+        cli._parser.cache_clear()
+    assert reused == fresh
+    assert fresh[0][0] == "SystemExit(2)" and fresh[1][0] == "SystemExit(0)"
+    assert len(built) == 1
+    assert [args for args, _ in namespaces] == PARSER_SEQUENCE[2:]
+    for args, names in namespaces:
+        assert names == set(vars(build().parse_args(args))), args
+    assert not {"set", "steps"} & namespaces[1][1]
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.fsm"
     bad.write_text("not a machine\n")
@@ -372,3 +447,21 @@ def test_corrupted_files_exit_cleanly(capsys, tmp_path, data):
     for argv in (["validate", str(path)], ["check", str(path), "--property", "diag"]):
         code, _, _ = run(capsys, *argv)
         assert code in (0, 1, 2)
+
+
+# ASCII letters, JSON escapes, control characters and non-ASCII text
+json_text = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7f\u2028é€😀'), max_size=6)
+json_scalars = (st.none() | st.booleans() | st.integers()
+                | st.integers(-2 ** 100, 2 ** 100) | json_text)
+json_pairs = st.lists(st.tuples(json_text, json_text))
+json_reports = st.recursive(
+    json_scalars | json_pairs | st.tuples(json_text) | st.tuples(json_text, st.integers()),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(json_text, inner)),
+    max_leaves=12)
+
+
+@given(json_reports)
+@settings(max_examples=200, deadline=None)
+def test_dumps_matches_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -2,8 +2,11 @@
 
 Each ``tests/fixtures/golden/<name>.json`` maps a command line to the exit
 code and the exact stdout that ``fsmdiag`` gave on ``tests/fixtures/<name>.fsm``.
-Besides ``check`` and ``sets``, it records ``observe`` for every observable
-property that holds on the machine, fed a seeded random walk of WALK_LENGTH
+Every command runs in an empty working directory, and the files a command
+leaves there (``desilent``'s ``-o`` and ``--provenance``) are recorded under
+``files``.  Besides ``validate``, ``desilent``, ``check`` and ``sets``, it
+records ``observe`` for every observable property that holds on a machine
+that passes analysis validation, fed a seeded random walk of WALK_LENGTH
 symbols; the key names that stream ``WALK``.  Run ``python tests/test_golden.py``
 (with ``src`` on ``PYTHONPATH``) to record them again after a deliberate
 change of output.
@@ -16,6 +19,7 @@ import json
 import os
 import random
 import sys
+import tempfile
 
 import pytest
 
@@ -25,7 +29,10 @@ from fsmdiag.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 GOLDEN = os.path.join(FIXTURES, "golden")
-COMMANDS = ([["check", "--json", "--property", kind.value] for kind in PropertyKind]
+COMMANDS = ([["validate", "--json", "--mode", "analysis"],
+             ["validate", "--json", "--mode", "desilent"],
+             ["desilent", "--json", "-o", "out.fsm", "--provenance", "provenance.json"]]
+            + [["check", "--json", "--property", kind.value] for kind in PropertyKind]
             + [["sets", "--json", "--steps"], ["sets", "--steps"]])
 MACHINES = sorted(os.path.basename(p)[:-4] for p in glob.glob(os.path.join(FIXTURES, "*.fsm")))
 WALK_LENGTH = 2000
@@ -59,9 +66,22 @@ def commands(name):
 
 def run(name, command):
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main([command[0], os.path.join(FIXTURES, name + ".fsm"), *command[1:]])
-    return {"exit": code, "stdout": out.getvalue()}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main([command[0], os.path.join(FIXTURES, name + ".fsm"), *command[1:]])
+        finally:
+            os.chdir(cwd)
+        files = {}
+        for written in sorted(os.listdir(tmp)):
+            with open(os.path.join(tmp, written), encoding="utf-8") as fh:
+                files[written] = fh.read()
+    result = {"exit": code, "stdout": out.getvalue()}
+    if files:
+        result["files"] = files
+    return result
 
 
 def record(name):

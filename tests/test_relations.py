@@ -68,6 +68,22 @@ def test_symmetric_closure():
             assert set(closed.pairs()) == set(pairs) | {(b, a) for a, b in pairs}
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 17])
+def test_pairs_against_enumeration(n):
+    # empty, full, one row, one column and random relations, each read back
+    # against every (i, j) tested bit by bit in row-major order
+    u = Universe(["s%02d" % i for i in range(n)])
+    rng = random.Random(n)
+    row, column = n // 2, (n - 1) // 3
+    cases = [0, (1 << n * n) - 1, ((1 << n) - 1) << row * n,
+             sum(1 << i * n + column for i in range(n))]
+    cases += [rng.getrandbits(n * n) & rng.getrandbits(n * n) for _ in range(20)]
+    for bits in cases:
+        expected = [(a, b) for i, a in enumerate(u.states) for j, b in enumerate(u.states)
+                    if bits >> (i * n + j) & 1]
+        assert PairRelation(u, bits).pairs() == expected
+
+
 def test_iteration_and_repr():
     r = PairRelation.from_pairs(U, [("b", "c"), ("a", "a")])
     assert list(r) == [("a", "a"), ("b", "c")]
