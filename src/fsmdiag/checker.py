@@ -1,11 +1,21 @@
 """Property checks for critical-set diagnosability and observability.
 
 Every property reduces to an emptiness or inclusion test between the fixed
-points computed in :mod:`fsmdiag.fixpoint`.  When a property holds, a scan
-over the step indices (b, f, g, l) of the underlying recursions yields
-parameter tuples (transient tau, delay delta, horizon T, uncertainties
-gamma1/gamma2) for which it provably holds; these are upper bounds, not
-minima.  When it fails, the smallest violating state pair is reported.
+points computed in :mod:`fsmdiag.fixpoint`.  When it fails, the smallest
+violating state pair is reported.  When it holds, one scan over the step
+indices (b, f, g, l) of the backward (B or B~), forward (F), backward-masking
+(Gamma) and forward-masking (Lambda) recursions finds the Pareto-minimal
+tuples at which the property's fixed relation meets no step; a series the
+property does not use stands at index 1.  One formula reads the parameters
+(transient tau, delay delta, uncertainties gamma1/gamma2) off a tuple:
+
+    tau = max(b, g) - 1            delta = max(f, l) - 1
+    gamma1 = (l if first_only else g) - 1            gamma2 = l - 1
+
+and the headline tuple is the candidate whose parameters rank least by
+(tau, delta, gamma1 + gamma2).  The parameters are upper bounds, not minima.
+The critical property is the conjunction of diag and eventual and composes
+their parameters.
 """
 
 from __future__ import annotations
@@ -29,7 +39,8 @@ class PropertyKind(str, enum.Enum):
     ``transient``: the property allows a transient tau > 0.
     ``observable``: the online estimator serves the property.
 
-    Each member is checked by the function ``check_<member name>`` below.
+    Each member is checked by the function ``check_<member name>`` below,
+    which reads the machine's :class:`Analysis`.
     """
 
     PARAMETRIC = ("parametric", True, True, True)
@@ -159,7 +170,9 @@ class Analysis:
 
 
 def _witness(rel: PairRelation, name: str):
-    return (rel.pairs()[0], name)
+    """The least pair of ``rel``, read off its lowest set bit."""
+    i, j = divmod((rel.bits & -rel.bits).bit_length() - 1, rel.universe.n)
+    return ((rel.universe.states[i], rel.universe.states[j]), name)
 
 
 def _pareto_min(tuples):
@@ -172,113 +185,105 @@ def _pareto_min(tuples):
     return tuple(sorted(out))
 
 
-def _frontier(fixed: PairRelation, *series) -> tuple:
-    """Sorted Pareto-minimal index tuples (k1, ..., kd), each ki in
-    1..series[i].convergence_step, at which ``fixed`` intersected with step
-    ki of every ``series[i]`` is empty.
+def _frontier(fixed: PairRelation, b=None, f=None, g=None, l=None) -> tuple:
+    """Sorted Pareto-minimal tuples (b, f, g, l), each index in
+    1..convergence_step of its series, at which ``fixed`` intersected with
+    that step of every given series is empty.  An absent series stands at
+    index 1, as one step holding every pair (bits -1).
 
     Every scanned series shrinks, so emptiness is upward closed in each
-    index: per prefix of the first d - 1 indices only the least last index
-    is kept.  Each series is iterated once, every step rebuilt from the one
-    before by its layer and kept as a bitset while the scan runs.
+    index: once the indices up to some level give an empty intersection,
+    they do with any larger index at that level and at every deeper level.
+    So each level stops at its first empty intersection and records the
+    tuple padded with 1s, which dominates every tuple it skips, and
+    ``_pareto_min`` of the result is unchanged.  Each series is iterated
+    once, every step rebuilt from the one before by its layer and kept as a
+    bitset while the scan runs.
     """
-    steps = [[rel.bits for rel in s] for s in series]
+    steps = [[-1] if s is None else [rel.bits for rel in s] for s in (b, f, g, l)]
     found = []
 
     def scan(bits, prefix):
-        level = steps[len(prefix)]
-        if len(prefix) + 1 < len(steps):
-            for k, rel in enumerate(level, 1):
-                scan(bits & rel, prefix + (k,))
-            return
-        for k, rel in enumerate(level, 1):
-            if not bits & rel:
-                found.append(prefix + (k,))
+        for k, rel in enumerate(steps[len(prefix)], 1):
+            meet = bits & rel
+            if not meet:
+                found.append((*prefix, k, 1, 1, 1)[:4])
                 return
+            if len(prefix) < 3:
+                scan(meet, prefix + (k,))
 
     scan(fixed.bits, ())
     return _pareto_min(found)
 
 
-def _headline(frontier, make_params):
-    best = min(frontier, key=lambda t: _rank(make_params(t)))
-    return best, make_params(best)
+def _params(kind: PropertyKind, t) -> DiagParams:
+    """The parameters every property reads off the index tuple t."""
+    b, f, g, l = t
+    return DiagParams(max(b, g) - 1, max(f, l) - 1, kind.horizon,
+                      (l if kind.first_only else g) - 1, l - 1)
 
 
 def _rank(p: DiagParams):
     return (p.tau, p.delta, p.gamma1 + p.gamma2)
 
 
-def check_parametric(m: Fsm, analysis: Optional[Analysis] = None) -> DiagVerdict:
+def _verdict(kind: PropertyKind, bad: PairRelation, why: str, scan, pin=None) -> DiagVerdict:
+    """The verdict of ``kind``.  A nonempty failure relation ``bad`` fails
+    it, with its least pair as witness.  Otherwise it holds on the frontier
+    ``scan()``, and the headline is the candidate tuple whose parameters rank
+    least, the lexicographically least on ties.  The candidates are the
+    frontier's tuples; with ``pin``, which gives (b*, f*), they are the
+    frontier's (g, l) taken at b* and f*.  The frontier is reported for the
+    properties the online estimator serves.
+    """
+    if bad:
+        return DiagVerdict(kind, False, witness=_witness(bad, why))
+    frontier = candidates = scan()
+    if pin:
+        b_star, f_star = pin()
+        candidates = {(b_star, f_star, g, l) for _, _, g, l in frontier}
+    best = min(candidates, key=lambda t: (_rank(_params(kind, t)), t))
+    return DiagVerdict(kind, True, params=_params(kind, best),
+                       frontier=frontier if kind.observable else None, bfgl=best)
+
+
+def check_parametric(a: Analysis) -> DiagVerdict:
     """Detection of the first crossing after a transient, with any delay."""
-    a = analysis or Analysis(m)
-    kind = PropertyKind.PARAMETRIC
-    bad = a.b_tilde.fixed_point & a.lam.fixed_point
-    if bad:
-        return DiagVerdict(kind, False,
-                           witness=_witness(bad, "backward-reachable and forward-maskable"))
-    frontier = tuple((b, f, 1, l) for b, f, l in
-                     _frontier(PairRelation.full(a.m.universe), a.b_tilde, a.f, a.lam))
-
-    def mk(t):
-        b, f, _, l = t
-        return DiagParams(b - 1, max(f, l) - 1, kind.horizon, l - 1, l - 1)
-
-    best, params = _headline(frontier, mk)
-    return DiagVerdict(kind, True, params=params, frontier=frontier, bfgl=best)
+    return _verdict(PropertyKind.PARAMETRIC, a.b_tilde.fixed_point & a.lam.fixed_point,
+                    "backward-reachable and forward-maskable",
+                    lambda: _frontier(PairRelation.full(a.m.universe),
+                                      b=a.b_tilde, f=a.f, l=a.lam))
 
 
-def check_diag(m: Fsm, analysis: Optional[Analysis] = None) -> DiagVerdict:
+def check_diag(a: Analysis) -> DiagVerdict:
     """Detection of the first crossing, with no transient allowance."""
-    a = analysis or Analysis(m)
-    kind = PropertyKind.DIAG
-    bad = a.s_tilde.fixed_point & a.lam.fixed_point
-    if bad:
-        return DiagVerdict(kind, False,
-                           witness=_witness(bad, "jointly reachable and forward-maskable"))
-    frontier = tuple((1, f, 1, l) for f, l in _frontier(a.s_tilde.fixed_point, a.f, a.lam))
-
-    def mk(t):
-        _, f, _, l = t
-        return DiagParams(0, max(f, l) - 1, kind.horizon, l - 1, l - 1)
-
-    best, params = _headline(frontier, mk)
-    return DiagVerdict(kind, True, params=params, frontier=frontier, bfgl=best)
+    return _verdict(PropertyKind.DIAG, a.s_tilde.fixed_point & a.lam.fixed_point,
+                    "jointly reachable and forward-maskable",
+                    lambda: _frontier(a.s_tilde.fixed_point, f=a.f, l=a.lam))
 
 
-def check_eventual(m: Fsm, analysis: Optional[Analysis] = None) -> DiagVerdict:
+def check_eventual(a: Analysis) -> DiagVerdict:
     """Detection of every crossing occurring after a finite transient."""
-    a = analysis or Analysis(m)
-    kind = PropertyKind.EVENTUAL
-    bad = a.gam.fixed_point & a.lam.fixed_point
-    if bad:
-        return DiagVerdict(kind, False,
-                           witness=_witness(bad, "backward-maskable and forward-maskable"))
-    frontier = _frontier(PairRelation.full(a.m.universe), a.b, a.f, a.gam, a.lam)
-
-    def mk(t):
-        b, f, g, l = t
-        return DiagParams(max(b, g) - 1, max(f, l) - 1, kind.horizon, g - 1, l - 1)
-
     # headline parameters are taken at the converged backward/forward indices,
     # minimizing only the uncertainty indices; smaller b or f would shrink the
     # claimed transient below what the detection argument supports.  Every
     # frontier tuple has b <= b* and f <= f*, so the (g, l) that work at
     # (b*, f*) are exactly those above some frontier tuple's (g, l).
-    b_star, f_star = a.b.convergence_step, a.f.convergence_step
-    best, params = _headline(sorted({(b_star, f_star, g, l) for _, _, g, l in frontier}), mk)
-    return DiagVerdict(kind, True, params=params, frontier=frontier, bfgl=best)
+    return _verdict(PropertyKind.EVENTUAL, a.gam.fixed_point & a.lam.fixed_point,
+                    "backward-maskable and forward-maskable",
+                    lambda: _frontier(PairRelation.full(a.m.universe),
+                                      b=a.b, f=a.f, g=a.gam, l=a.lam),
+                    pin=lambda: (a.b.convergence_step, a.f.convergence_step))
 
 
-def check_critical(m: Fsm, analysis: Optional[Analysis] = None) -> DiagVerdict:
+def check_critical(a: Analysis) -> DiagVerdict:
     """Detection of every crossing with no transient allowance: the
     conjunction of the first-crossing and eventual properties."""
-    a = analysis or Analysis(m)
     kind = PropertyKind.CRITICAL
-    dg = check_diag(m, a)
+    dg = check_diag(a)
     if not dg.holds:
         return DiagVerdict(kind, False, witness=dg.witness)
-    ev = check_eventual(m, a)
+    ev = check_eventual(a)
     if not ev.holds:
         return DiagVerdict(kind, False, witness=ev.witness)
     tau_e, d_e, g1_e = ev.params.tau, ev.params.delta, ev.params.gamma1
@@ -287,60 +292,40 @@ def check_critical(m: Fsm, analysis: Optional[Analysis] = None) -> DiagVerdict:
     return DiagVerdict(kind, True, params=params, frontier=ev.frontier, bfgl=ev.bfgl)
 
 
-def check_eventual_obs(m: Fsm, analysis: Optional[Analysis] = None) -> DiagVerdict:
+def check_eventual_obs(a: Analysis) -> DiagVerdict:
     """Zero-delay detection of crossings after a transient."""
-    a = analysis or Analysis(m)
-    kind = PropertyKind.EVENTUAL_OBS
-    bad = a.b.fixed_point - a.block
-    if bad:
-        return DiagVerdict(kind, False,
-                           witness=_witness(bad, "backward-indistinguishable mixed pair"))
-    b, g = _frontier(a.pi & a.lam.first, a.b, a.gam)[0]
-    params = DiagParams(max(b, g) - 1, 0, kind.horizon, g - 1, 0)
-    return DiagVerdict(kind, True, params=params, bfgl=(b, 1, g, 1))
+    return _verdict(PropertyKind.EVENTUAL_OBS, a.b.fixed_point - a.block,
+                    "backward-indistinguishable mixed pair",
+                    lambda: _frontier(a.pi & a.lam.first, b=a.b, g=a.gam))
 
 
-def check_exact_step(m: Fsm, analysis: Optional[Analysis] = None) -> DiagVerdict:
+def check_exact_step(a: Analysis) -> DiagVerdict:
     """Eventual detection that pins down the exact crossing step."""
-    a = analysis or Analysis(m)
-    kind = PropertyKind.EXACT_STEP
-    bad = (a.b.fixed_point & a.f.fixed_point) - a.block
-    if bad:
-        return DiagVerdict(kind, False, witness=_witness(bad, "persistent mixed pair"))
-    b, f = _frontier(a.block.complement(), a.b, a.f)[0]
-    params = DiagParams(b - 1, f - 1, kind.horizon, 0, 0)
-    return DiagVerdict(kind, True, params=params, bfgl=(b, f, 1, 1))
+    return _verdict(PropertyKind.EXACT_STEP, (a.b.fixed_point & a.f.fixed_point) - a.block,
+                    "persistent mixed pair",
+                    lambda: _frontier(a.block.complement(), b=a.b, f=a.f))
 
 
-def check_initial_obs(m: Fsm, analysis: Optional[Analysis] = None) -> DiagVerdict:
+def check_initial_obs(a: Analysis) -> DiagVerdict:
     """Exact decision about the critical set from the first observation."""
-    a = analysis or Analysis(m)
-    kind = PropertyKind.INITIAL_OBS
     if not a.m.critical <= a.m.initial:
         raise UsageError("initial-state observability requires the critical "
                          "set to consist of initial states")
     mixed_init = product_relation(a.m.universe, a.m.initial, a.m.initial) - a.block
-    bad = mixed_init & a.f.fixed_point
-    if bad:
-        return DiagVerdict(kind, False,
-                           witness=_witness(bad, "forward-indistinguishable initial mixed pair"))
-    (f,) = _frontier(mixed_init, a.f)[0]
-    params = DiagParams(0, f - 1, kind.horizon, 0, 0)
-    return DiagVerdict(kind, True, params=params, bfgl=(1, f, 1, 1))
+    return _verdict(PropertyKind.INITIAL_OBS, mixed_init & a.f.fixed_point,
+                    "forward-indistinguishable initial mixed pair",
+                    lambda: _frontier(mixed_init, f=a.f))
 
 
-def check_critical_obs(m: Fsm, analysis: Optional[Analysis] = None) -> DiagVerdict:
+def check_critical_obs(a: Analysis) -> DiagVerdict:
     """Zero-delay, zero-transient decision at every step."""
-    a = analysis or Analysis(m)
-    kind = PropertyKind.CRITICAL_OBS
-    bad = a.s.fixed_point - a.block
-    if bad:
-        return DiagVerdict(kind, False,
-                           witness=_witness(bad, "jointly reachable mixed pair"))
-    params = DiagParams(0, 0, kind.horizon, 0, 0)
-    return DiagVerdict(kind, True, params=params, bfgl=(1, 1, 1, 1))
+    # no series: the property holds at indices (1, 1, 1, 1)
+    return _verdict(PropertyKind.CRITICAL_OBS, a.s.fixed_point - a.block,
+                    "jointly reachable mixed pair", lambda: ((1, 1, 1, 1),))
 
 
 def check(m: Fsm, prop: PropertyKind, analysis: Optional[Analysis] = None) -> DiagVerdict:
+    """The verdict of ``prop`` on ``m``, read from ``analysis`` if given and
+    from a fresh ``Analysis(m)`` otherwise."""
     kind = PropertyKind.parse(prop)
-    return globals()["check_" + kind.name.lower()](m, analysis)
+    return globals()["check_" + kind.name.lower()](analysis or Analysis(m))

@@ -12,7 +12,6 @@ forward search per entering state (``silent_runs``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import PreconditionError, UsageError
 from .model import EPSILON, Fsm, validate
@@ -110,7 +109,6 @@ class SilentRemovalResult:
     m_hat: Fsm
     omega_hat: frozenset
     provenance: dict            # new state -> (q, w, crossed)
-    prepared: Optional[Fsm] = None   # machine after the mixed-successor split
     split: dict = field(default_factory=dict)  # original silent state -> (s-copy, n-copy)
 
 
@@ -173,7 +171,7 @@ def desilent(m: Fsm) -> SilentRemovalResult:
             "machine fails silent-removal assumptions: "
             + "; ".join(v.message for v in report.entries if v.severity == "error"))
     if not m.silent_states:
-        return SilentRemovalResult(m, m.critical, {}, m, {})
+        return SilentRemovalResult(m, m.critical, {}, {})
 
     m0, split = _split_mixed(m)
     ctx = silent_context(m0)
@@ -228,7 +226,7 @@ def desilent(m: Fsm) -> SilentRemovalResult:
     m_hat = Fsm(states, initial & states,
                 {s: label[s] for s in states}, trans, critical & states)
     provenance = {name: key for key, name in new.items() if name in states}
-    return SilentRemovalResult(m_hat, m_hat.critical, provenance, m0, split)
+    return SilentRemovalResult(m_hat, m_hat.critical, provenance, split)
 
 
 def execution_image(result: SilentRemovalResult, m: Fsm, x) -> tuple:

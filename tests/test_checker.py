@@ -3,12 +3,12 @@ import random
 import pytest
 
 from fsmdiag import (
-    Analysis, DiagParams, FixpointSeries, Fsm, PreconditionError, UsageError,
-    check,
+    Analysis, DiagParams, FixpointSeries, Fsm, Horizon, PreconditionError, UsageError,
+    check, check_definition, product_relation, validate,
 )
 from fsmdiag.checker import PropertyKind
 from fsmdiag.fixpoint import ProjectedSeries
-from conftest import sym, theta
+from conftest import random_live_fsm, sym, theta
 
 ALL_PROPERTIES = ("parametric", "diag", "eventual", "critical",
                   "eventual-obs", "critical-obs", "exact-step")
@@ -210,8 +210,6 @@ class TestCriticalObs:
         assert check(m, "critical-obs").holds
 
     def test_implies_eventual_obs(self, m1, m2, m2_single, fork, rng):
-        from conftest import random_live_fsm
-        from fsmdiag import validate
         machines = [m1, m2, m2_single, fork]
         while len(machines) < 30:
             m = random_live_fsm(rng)
@@ -279,7 +277,56 @@ def test_property_kind_round_trip():
         assert PropertyKind(name).value == name
 
 
+#: property -> (failure relation, reason) as each check states them
+FAILURES = {
+    "parametric": (lambda a: a.b_tilde.fixed_point & a.lam.fixed_point,
+                   "backward-reachable and forward-maskable"),
+    "diag": (lambda a: a.s_tilde.fixed_point & a.lam.fixed_point,
+             "jointly reachable and forward-maskable"),
+    "eventual": (lambda a: a.gam.fixed_point & a.lam.fixed_point,
+                 "backward-maskable and forward-maskable"),
+    "eventual-obs": (lambda a: a.b.fixed_point - a.block,
+                     "backward-indistinguishable mixed pair"),
+    "critical-obs": (lambda a: a.s.fixed_point - a.block, "jointly reachable mixed pair"),
+    "exact-step": (lambda a: (a.b.fixed_point & a.f.fixed_point) - a.block,
+                   "persistent mixed pair"),
+    "initial-obs": (lambda a: (product_relation(a.m.universe, a.m.initial, a.m.initial)
+                               - a.block) & a.f.fixed_point,
+                    "forward-indistinguishable initial mixed pair"),
+}
+
+
 def test_witness_is_lexicographically_smallest(m1):
     a = Analysis(m1)
     bad = a.s_tilde.fixed_point & a.lam.fixed_point
     assert check(m1, "diag").witness[0] == min(bad.pairs())
+    seen = set()
+    rng = random.Random(31)
+    while len(seen) < len(FAILURES):
+        m = random_live_fsm(rng, 8, 3)
+        if not validate(m, "analysis").ok:
+            continue
+        m = m.replace(initial=m.initial | m.critical)   # as initial-obs needs
+        a = Analysis(m)
+        for prop, (failure, reason) in FAILURES.items():
+            v = check(m, prop, a)
+            if not v.holds:
+                assert v.witness == (min(failure(a).pairs()), reason), (m, prop)
+                seen.add(prop)
+        v = check(m, "critical", a)
+        if not v.holds:
+            first = "diag" if not check(m, "diag", a).holds else "eventual"
+            assert v.witness == check(m, first, a).witness
+
+
+def test_eventual_obs_headline_ranks_least():
+    # the frontier is {(1, 1, 3, 1), (3, 1, 1, 1)}: the lexicographically first
+    # tuple claims gamma1 = 2, the rank-least one gamma1 = 0 at the same tau
+    m = Fsm("123", "2", {"1": "a", "2": "a", "3": "a"},
+            [("1", "1"), ("2", "1"), ("2", "3"), ("3", "1")], {"1"})
+    v = check(m, "eventual-obs")
+    assert v.holds and v.frontier is None
+    assert v.bfgl == (3, 1, 1, 1)
+    assert v.params == DiagParams(2, 0, None, 0, 0)
+    assert check_definition(m, "eventual-obs", v.params, Horizon(12)).status \
+        == "consistent-up-to-horizon"

@@ -1,14 +1,16 @@
 """Property-based tests over randomly generated machines."""
 
+import itertools
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
 from fsmdiag import (
-    Analysis, DiagParams, DiagVerdict, Estimator, Fsm,
+    Analysis, BudgetExceededError, DiagParams, DiagVerdict, Estimator, Fsm, Horizon,
     InconsistentObservationError, PairRelation, PropertyKind, UsageError,
-    check, desilent, enum_relation, enumerate_executions, fsm_to_text,
-    max_silent_length, parse_fsm, validate,
+    check, check_definition, desilent, enum_relation, enumerate_executions,
+    fsm_to_text, max_silent_length, parse_fsm, product_relation, validate,
 )
 from fsmdiag.epsremoval import silent_runs
 from fsmdiag.fixpoint import _avoid_seed, _shrink, compute_pi, s_series
@@ -203,6 +205,84 @@ def test_property_implications(m):
     # an everywhere-detectable machine is in particular eventually detectable
     if critical:
         assert check(m, "eventual").holds
+
+
+def _scan(a, prop):
+    """(fixed relation, (B, F, Gamma, Lambda) series or None) of a property's
+    frontier search."""
+    full = PairRelation.full(a.m.universe)
+    mixed_init = product_relation(a.m.universe, a.m.initial, a.m.initial) - a.block
+    return {"parametric": (full, (a.b_tilde, a.f, None, a.lam)),
+            "diag": (a.s_tilde.fixed_point, (None, a.f, None, a.lam)),
+            "eventual": (full, (a.b, a.f, a.gam, a.lam)),
+            "eventual-obs": (a.pi & a.lam.at(1), (a.b, None, a.gam, None)),
+            "exact-step": (a.block.complement(), (a.b, a.f, None, None)),
+            "initial-obs": (mixed_init, (None, a.f, None, None))}[prop]
+
+
+#: each property's parameters at the index tuple (b, f, g, l), written out
+FORMULAS = {
+    "parametric": lambda b, f, g, l: DiagParams(b - 1, max(f, l) - 1, 0, l - 1, l - 1),
+    "diag": lambda b, f, g, l: DiagParams(0, max(f, l) - 1, 0, l - 1, l - 1),
+    "eventual": lambda b, f, g, l: DiagParams(max(b, g) - 1, max(f, l) - 1, None, g - 1, l - 1),
+    "eventual-obs": lambda b, f, g, l: DiagParams(max(b, g) - 1, 0, None, g - 1, 0),
+    "exact-step": lambda b, f, g, l: DiagParams(b - 1, f - 1, None, 0, 0),
+    "initial-obs": lambda b, f, g, l: DiagParams(0, f - 1, 0, 0, 0),
+}
+
+
+def _brute_frontier(fixed, series):
+    """Pareto-minimal (b, f, g, l) over every index tuple, each step read
+    with ``at``; an absent series has the one index 1."""
+    steps = [[None] if s is None else [s.at(k) for k in range(1, s.convergence_step + 1)]
+             for s in series]
+    empty = []
+    for picked in itertools.product(*(enumerate(level, 1) for level in steps)):
+        rel = fixed
+        for _, step in picked:
+            rel = rel if step is None else rel & step
+        if not rel:
+            empty.append(tuple(k for k, _ in picked))
+    return sorted(t for t in empty
+                  if not any(o != t and all(x <= y for x, y in zip(o, t)) for o in empty))
+
+
+@given(analysis_machines(max_states=7))
+@settings(COMMON, max_examples=200)
+def test_frontier_and_headline_against_brute_force(m):
+    for prop, formula in FORMULAS.items():
+        mp = m.replace(initial=m.initial | m.critical) if prop == "initial-obs" else m
+        a = Analysis(mp)
+        v = check(mp, prop, a)
+        if not v.holds:
+            continue
+        frontier = _brute_frontier(*_scan(a, prop))
+        assert v.frontier is None or list(v.frontier) == frontier, prop
+        candidates = frontier
+        if prop == "eventual":
+            candidates = sorted({(a.b.convergence_step, a.f.convergence_step, g, l)
+                                 for _, _, g, l in frontier})
+        if prop == "eventual-obs":
+            assert v.bfgl in frontier
+        else:
+            def rank(t):
+                p = formula(*t)
+                return (p.tau, p.delta, p.gamma1 + p.gamma2)
+            assert v.bfgl == min(candidates, key=rank), prop
+        assert v.params == formula(*v.bfgl), prop
+
+
+@given(analysis_machines(max_states=6, outputs="abc"))
+@COMMON
+def test_eventual_obs_params_pass_the_definition(m):
+    v = check(m, "eventual-obs")
+    assume(v.holds)
+    try:
+        out = check_definition(m, "eventual-obs", v.params,
+                               Horizon(v.params.tau + 2 * len(m.states) + 2, budget=200_000))
+    except BudgetExceededError:
+        assume(False)
+    assert not out.violated, (m, v.params, out.counterexample)
 
 
 @given(analysis_machines())
