@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .errors import PreconditionError, UsageError
+from .errors import UsageError
 from .fixpoint import b_series, compute_pi, f_series, gamma_series, lambda_series, s_series
 from .model import Fsm, build_restricted, validate
 from .relations import PairRelation, product_relation, same_block
@@ -117,11 +117,7 @@ class Analysis:
     """
 
     def __init__(self, m: Fsm):
-        report = validate(m, "analysis")
-        if not report.ok:
-            raise PreconditionError(
-                "machine fails analysis assumptions: "
-                + "; ".join(v.message for v in report.entries if v.severity == "error"))
+        validate(m, "analysis").require()
         self.m = m
 
     @cached_property

@@ -17,8 +17,7 @@ from . import __version__
 from .checker import Analysis, DiagParams, PropertyKind, check
 from .diagnoser import Estimator
 from .epsremoval import desilent
-from .errors import (BudgetExceededError, FsmDiagError,
-                     InconsistentObservationError, ParseError, UsageError)
+from .errors import BudgetExceededError, FsmDiagError, ParseError, UsageError
 from .model import fsm_to_text, load_fsm, validate
 from .oracle import Horizon, check_definition
 
@@ -356,16 +355,13 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, UsageError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, UsageError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except BudgetExceededError as exc:
         print("resource limit: %s" % exc, file=sys.stderr)
         return 3
-    except (InconsistentObservationError, FsmDiagError) as exc:
+    except FsmDiagError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

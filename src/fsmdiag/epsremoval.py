@@ -165,11 +165,7 @@ def desilent(m: Fsm) -> SilentRemovalResult:
     are named in (q, w, crossed) order.  Silent states and the states left
     without successors are then dropped.
     """
-    report = validate(m, "desilent")
-    if not report.ok:
-        raise PreconditionError(
-            "machine fails silent-removal assumptions: "
-            + "; ".join(v.message for v in report.entries if v.severity == "error"))
+    validate(m, "desilent").require()
     if not m.silent_states:
         return SilentRemovalResult(m, m.critical, {}, {})
 

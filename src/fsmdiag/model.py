@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import BudgetExceededError, ParseError, UsageError
+from .errors import BudgetExceededError, ParseError, PreconditionError, UsageError
 from .relations import Universe
 
 #: Reserved token for the silent (null) output.
@@ -275,6 +275,14 @@ class ValidationReport:
 
     def __bool__(self):
         return self.ok
+
+    def require(self):
+        """Raise PreconditionError listing every error entry, unless ok."""
+        if not self.ok:
+            what = "silent-removal" if self.mode == "desilent" else self.mode
+            raise PreconditionError(
+                "machine fails %s assumptions: " % what
+                + "; ".join(v.message for v in self.entries if v.severity == "error"))
 
 
 def _silent_cycle_states(m: Fsm):

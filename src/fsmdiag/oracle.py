@@ -19,7 +19,7 @@ from typing import Optional
 
 from .checker import DiagParams, PropertyKind
 from .errors import BudgetExceededError, UsageError
-from .model import Fsm, _budget
+from .model import Fsm, _budget, validate
 from .relations import PairRelation
 
 
@@ -169,125 +169,84 @@ class OracleOutcome:
 def check_definition(m: Fsm, prop, params, h: Horizon) -> OracleOutcome:
     """Decide a diagnosability definition by exhaustive bounded search.
 
-    A violation witness is an execution x from the initial set crossing the
-    critical set at an applicable step k, together with an execution with the
-    same output string of length k + delta that avoids the critical set on
-    the entire window [k - gamma1, k + gamma2].  The search walks all
-    executions breadth first; alongside each one it carries the sets of
-    partner states compatible with the outputs so far, stratified by how many
-    trailing steps they have avoided the critical set, plus one tracker per
-    pending crossing that still needs its partner confirmed or refuted.
+    A crossing of an execution x from the initial set is a step k with x_k
+    in the critical set.  It is applicable when k >= tau + 1 and, for a
+    first-only property, x has no critical state before step k.  A violation
+    is an applicable crossing at step k of an x of length k + delta, together
+    with a partner: an execution from the initial set of the same length,
+    with the same outputs, that avoids the critical set on the window
+    [max(1, k - gamma1), k + gamma2].  Only executions of at most ``h.length``
+    states are searched.  The outcome is "violated" at the first violation
+    found, with the least such partner; otherwise "consistent-up-to-horizon"
+    when some crossing within the horizon is applicable, else
+    "not-applicable".  A machine that fails ``validate(m, "analysis")``
+    raises PreconditionError, since the search needs it to have no silent
+    states.
+
+    The search is one breadth-first step loop over configurations, from a
+    virtual configuration before step 1 whose successors are the initial
+    states.  Each configuration holds the last state of x, whether x has
+    crossed, the partner states compatible with the outputs so far,
+    stratified by how many trailing steps they have avoided the critical set,
+    and one tracker per applicable crossing whose partner is neither
+    confirmed nor refuted yet.
     """
+    validate(m, "analysis").require()
     first_only = PropertyKind.parse(prop).first_only
     tau, delta = params.tau, params.delta
     g1, g2 = params.gamma1, params.gamma2
     bud = _Budget(h.budget)
-    omega = m.critical
+    omega, label = m.critical, m.label
+    succ = {v: sorted(m.succ(v)) for v in m.states}
+    succ[None] = sorted(m.initial)
 
     def advance(group, y, avoid):
         out = set()
         for v in group:
-            for w in m.succ(v):
-                if m.label[w] == y and not (avoid and w in omega):
+            for w in succ[v]:
+                if label[w] == y and not (avoid and w in omega):
                     out.add(w)
         return frozenset(out)
 
     spawned = False
-    violation = None  # (final config step n, x path, crossing step k)
-
     # config: (u, crossed, chain, trackers); chain[j] = partner states whose
-    # last j steps avoided the critical set; trackers = ((set, age), ...)
-    level = {}
-    parents = [{}]
-    for u in sorted(m.initial):
-        base = frozenset(v for v in m.initial if m.label[v] == m.label[u])
-        chain = (base,) + (frozenset(v for v in base if v not in omega),) * (g1 + 1)
-        trackers = ()
-        if u in omega and 1 >= tau + 1:
-            spawned = True
-            t0 = chain[min(g1 + 1, 1)]
-            if delta == 0:
-                if t0:
-                    violation = (1, (u,), 1)
-                    break
-            elif t0:
-                trackers = ((t0, 0),)
-        cfg = (u, u in omega, chain, trackers)
-        if cfg not in level:
-            level[cfg] = None
-            parents[0][cfg] = (None, u)
-
-    step = 1
-    while violation is None and step < h.length:
+    # last j steps avoided the critical set; trackers = ((set, age), ...), the
+    # partner states of a crossing age steps back, which avoid the critical
+    # set while age <= gamma2.  levels[k] maps each configuration after k
+    # steps to its parent.
+    root = (None, False, (frozenset([None]),) * (g1 + 2), ())
+    levels = [{root: None}]
+    for k in range(1, h.length + 1):
         nxt = {}
-        parents.append({})
-        for cfg in level:
+        for cfg in levels[-1]:
             u, crossed, chain, trackers = cfg
             if first_only and crossed and not trackers:
                 continue
-            bud.spend()
-            for u2 in sorted(m.succ(u)):
-                y = m.label[u2]
+            if k > 1:   # expanding the virtual root is free
+                bud.spend()
+            for u2 in succ[u]:
+                y = label[u2]
                 new_chain = [advance(chain[0], y, False)]
                 for j in range(1, g1 + 2):
                     new_chain.append(advance(chain[j - 1], y, True))
-                new_trackers = []
-                dead = False
-                for (tset, age) in trackers:
-                    a2 = age + 1
-                    t2 = advance(tset, y, a2 <= g2)
-                    if not t2:
-                        continue
-                    if a2 == delta:
-                        violation = (step + 1, None, step + 1 - delta)
-                        witness_cfg = (cfg, u2)
-                        dead = True
-                        break
-                    new_trackers.append((t2, a2))
-                if dead:
-                    break
-                k2 = step + 1
-                if u2 in omega and k2 >= tau + 1 and (not first_only or not crossed):
+                pending = [(advance(t, y, age < g2), age + 1) for t, age in trackers]
+                if u2 in omega and k >= tau + 1 and not (first_only and crossed):
                     spawned = True
-                    t0 = new_chain[min(g1 + 1, k2)]
-                    if delta == 0:
-                        if t0:
-                            violation = (k2, None, k2)
-                            witness_cfg = (cfg, u2)
-                            break
-                    elif t0:
-                        new_trackers.append((t0, 0))
-                ncfg = (u2, crossed or u2 in omega, tuple(new_chain),
-                        tuple(sorted(new_trackers)))
+                    pending.append((new_chain[min(g1 + 1, k)], 0))
+                live = [(t, age) for t, age in pending if t]
+                if live and any(age == delta for _, age in live):
+                    x = [u2]
+                    for level in reversed(levels[1:]):
+                        x.append(cfg[0])
+                        cfg = level[cfg]
+                    x = tuple(reversed(x))
+                    partner = _find_partner(m, x, k - delta, g1, g2)
+                    return OracleOutcome("violated", Counterexample(x, k - delta, partner))
+                ncfg = (u2, crossed or u2 in omega, tuple(new_chain), tuple(sorted(live)))
                 if ncfg not in nxt:
-                    nxt[ncfg] = None
-                    parents[step][ncfg] = (cfg, u2)
-            if violation is not None:
-                break
-        if violation is not None and violation[1] is None:
-            # rebuild the execution from parent pointers
-            pcfg, last = witness_cfg
-            path = [last]
-            d = step - 1
-            c = pcfg
-            while c is not None:
-                c, s = parents[d].get(c, (None, c[0])) if d >= 0 else (None, None)
-                if s is not None:
-                    path.append(s)
-                d -= 1
-            violation = (violation[0], tuple(reversed(path)), violation[2])
-        level = nxt
-        step += 1
-        if not level:
-            break
-
-    if violation is not None:
-        n, x, k = violation
-        partner = _find_partner(m, x, k, g1, g2)
-        return OracleOutcome("violated", Counterexample(x, k, partner))
-    if not spawned:
-        return OracleOutcome("not-applicable")
-    return OracleOutcome("consistent-up-to-horizon")
+                    nxt[ncfg] = cfg
+        levels.append(nxt)
+    return OracleOutcome("consistent-up-to-horizon" if spawned else "not-applicable")
 
 
 def _find_partner(m, x, k, g1, g2):

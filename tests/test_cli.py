@@ -323,6 +323,14 @@ class TestOracle:
         assert ce["crossing_step"] == n + 1
         assert ce["partner"] == ["z%d" % i for i in range(n + 1)]
 
+    def test_refuses_machine_outside_analysis_assumptions(self, capsys):
+        code, out, err = run(capsys, "oracle", SILENT, "--property", "eventual",
+                             "--horizon", "6", "--params", "0,0,0,0")
+        assert (code, out) == (1, "")
+        assert err == ("error: machine fails analysis assumptions: "
+                       "state 3 is labelled with the silent output\n")
+        assert run(capsys, "check", SILENT, "--property", "eventual") == (1, "", err)
+
     def test_failing_property_needs_params(self, capsys):
         code, _, err = run(capsys, "oracle", FORK, "--property", "parametric",
                            "--horizon", "10")

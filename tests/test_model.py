@@ -1,7 +1,7 @@
 import pytest
 
 from fsmdiag import (
-    EPSILON, BudgetExceededError, Fsm, ParseError, UsageError,
+    EPSILON, BudgetExceededError, Fsm, ParseError, PreconditionError, UsageError,
     build_restricted, crossing_index, enumerate_executions, fsm_to_text,
     is_execution, load_fsm, output_of, parse_fsm, validate,
 )
@@ -138,6 +138,24 @@ class TestValidate:
     def test_unknown_mode(self, m1):
         with pytest.raises(UsageError):
             validate(m1, "nope")
+
+    def test_require_names_every_error_and_no_warning(self, silent_machine):
+        validate(silent_machine, "desilent").require()   # warnings only
+        m = silent_machine.replace(initial=frozenset(), trans=silent_machine.trans
+                                   - {("5", "5")})
+        with pytest.raises(PreconditionError) as exc:
+            validate(m, "analysis").require()
+        assert str(exc.value) == (
+            "machine fails analysis assumptions: state 5 has no successor; "
+            "state 3 is labelled with the silent output; initial state set is empty")
+        m = Fsm("abc", "ab", {"a": "x", "b": "_", "c": "_"},
+                [("a", "b"), ("b", "c"), ("c", "b")])
+        with pytest.raises(PreconditionError) as exc:
+            validate(m, "desilent").require()
+        assert str(exc.value) == (
+            "machine fails silent-removal assumptions: silent state b lies on an "
+            "all-silent cycle; silent state c lies on an all-silent cycle; "
+            "initial state b is silent")
 
 
 class TestExecutions:

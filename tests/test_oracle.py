@@ -1,12 +1,14 @@
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from fsmdiag import (
-    Analysis, BudgetExceededError, DiagParams, Fsm, Horizon, UsageError, check,
-    check_definition, enum_relation, minimal_params, validate,
+    Analysis, BudgetExceededError, DiagParams, Fsm, Horizon, PreconditionError,
+    PropertyKind, UsageError, check, check_definition, crossing_index, enum_relation,
+    enumerate_executions, is_execution, minimal_params, validate,
 )
 from conftest import fixture_path, random_live_fsm, sym, theta
 
@@ -148,6 +150,89 @@ class TestCheckDefinition:
         with pytest.raises(BudgetExceededError):
             check_definition(m2, "eventual", DiagParams(0, 2, None, 1, 1),
                              Horizon(14, budget=5))
+
+    def test_refuses_machine_outside_analysis_assumptions(self, silent_machine):
+        # the search reads equal-length executions with equal outputs as
+        # output-identical, which silent states would break
+        p = DiagParams(0, 0, None, 0, 0)
+        message = ("machine fails analysis assumptions: "
+                   "state 3 is labelled with the silent output")
+        with pytest.raises(PreconditionError) as exc:
+            check_definition(silent_machine, "eventual", p, Horizon(6))
+        assert str(exc.value) == message
+        with pytest.raises(PreconditionError):
+            minimal_params(silent_machine, "eventual", Horizon(6), cap=1)
+
+
+def applicable(m, kind, p, x, k):
+    """Is step k of x a crossing the property asks to diagnose?"""
+    return (x[k - 1] in m.critical and k >= p.tau + 1
+            and (not kind.first_only or crossing_index(x, m.critical) == k))
+
+
+def is_violation(m, kind, p, x, k, y):
+    """Do x, crossing at step k, and the partner y violate the definition?"""
+    window = range(max(1, k - p.gamma1), k + p.gamma2 + 1)
+    return (len(x) == len(y) == k + p.delta
+            and x[0] in m.initial and y[0] in m.initial
+            and is_execution(m, x) and is_execution(m, y)
+            and applicable(m, kind, p, x, k)
+            and [m.label[s] for s in x] == [m.label[s] for s in y]
+            and not any(y[j - 1] in m.critical for j in window))
+
+
+class TestAgainstDefinition:
+    """check_definition against the definition read off every execution of
+    at most the horizon's length, sharing no code with its search."""
+
+    def expected_status(self, m, kind, p, length):
+        runs = {n: enumerate_executions(m, m.initial, n) for n in range(1, length + 1)}
+        by_output = {}
+        for n, xs in runs.items():
+            for y in xs:
+                by_output.setdefault(tuple(m.label[s] for s in y), []).append(y)
+        crossings = [(x, k) for x in runs[length] for k in range(1, length + 1)
+                     if applicable(m, kind, p, x, k)]
+        for x, k in crossings:
+            n = k + p.delta
+            if n <= length and any(is_violation(m, kind, p, x[:n], k, y)
+                                   for y in by_output[tuple(m.label[s] for s in x[:n])]):
+                return "violated"
+        return "consistent-up-to-horizon" if crossings else "not-applicable"
+
+    def test_seeded_machines(self):
+        rng = random.Random(20261018)
+        statuses = set()
+        for _ in range(1000):
+            m = random_live_fsm(rng, 5, 3)
+            length = rng.randint(1, 6)
+            for kind in PropertyKind:
+                delta = rng.randint(0, 3)
+                p = DiagParams(rng.randint(0, 3), delta, kind.horizon,
+                               rng.randint(0, 3), rng.randint(0, delta))
+                out = check_definition(m, kind.value, p, Horizon(length))
+                assert out.status == self.expected_status(m, kind, p, length), \
+                    (m, kind, p, length)
+                if out.violated:
+                    ce = out.counterexample
+                    assert is_violation(m, kind, p, ce.execution, ce.crossing_step,
+                                        ce.partner)
+                statuses.add(out.status)
+        assert len(statuses) == 3
+
+    def test_first_only_ignores_a_second_crossing(self):
+        # x = 1 2 4 4 4 crosses at steps 1 and 2.  The only partner avoiding
+        # step 1, from 5, dies at step 3; 1 3 4 4 4 avoids step 2 and lives,
+        # which a first-only property must not count
+        m = Fsm("1234567", "15",
+                {"1": "A", "2": "B", "3": "B", "4": "C", "5": "A", "6": "B", "7": "D"},
+                [("1", "2"), ("1", "3"), ("2", "4"), ("3", "4"), ("4", "4"),
+                 ("5", "6"), ("6", "7"), ("7", "7")], {"1", "2"})
+        for kind in PropertyKind:
+            p = DiagParams(0, 3, kind.horizon, 0, 0)
+            out = check_definition(m, kind.value, p, Horizon(5))
+            assert out.status == self.expected_status(m, kind, p, 5)
+            assert out.violated == (not kind.first_only)
 
 
 class TestMinimalParams:
