@@ -15,19 +15,28 @@ package:
 
 All five walk the pair graph, whose nodes are ordered state pairs and whose
 edges join (i, j) to (a, b) for a a neighbour of i and b one of j, over the
-machine's integer adjacency (``Fsm.adjacency``).  ``s_series`` is a worklist.
+machine's integer adjacency (``Fsm.adjacency``).  ``s_series`` is a worklist;
+S never leaves Pi, the equal-output pairs, so it stops as soon as it holds
+all of Pi, and a machine whose X0 x X0 already covers Pi costs only its seed.
 The four shrinking recursions share one counter engine, ``_shrink``, in the
-manner of AC-4 arc consistency: each pair counts its supports once, and
-removals proceed layer by layer, so every pair leaves at the same step as in
-the synchronous recursion while the work is O(edges of the pair graph).
+manner of AC-4 arc consistency.  Each pair's supports are counted once, as
+the integer matrix C = N . R_1 . N^T (N the 0/1 neighbour matrix), formed a
+row at a time on big integers with w-byte fields, w the least power of two
+that holds deg^2 for the largest neighbour count deg.  Removals then proceed
+layer by layer, so every pair leaves at the same step as in the synchronous
+recursion while the propagation is O(edges of the pair graph).  Memory is a
+flag byte and a w-byte count per pair.
 """
 
 from __future__ import annotations
+
+import sys
 
 from .errors import PreconditionError, UsageError
 from .model import Fsm
 from .relations import (
     FixpointSeries, PairRelation, bit_flags, bit_indices, flag_bits, product_relation,
+    transposed,
 )
 
 
@@ -47,18 +56,23 @@ def s_series(m: Fsm) -> FixpointSeries:
 
     Grows monotonically; a worklist over the machine's integer adjacency
     propagates only newly added pairs, so the cost is linear in the number
-    of transition pairs rather than steps times relation size.  Liveness is
-    not required.
+    of transition pairs rather than steps times relation size.  It stops
+    once every pair of Pi is in, since S stays inside Pi.  Liveness is not
+    required.
     """
     n = m.universe.n
     succ, _ = m.adjacency
     label = [m.label[s] for s in m.states]
-    first = product_relation(m.universe, m.initial, m.initial) & compute_pi(m)
+    pi = compute_pi(m)
+    first = product_relation(m.universe, m.initial, m.initial) & pi
     seen = bit_flags(first.bits, n * n)
+    missing = len(pi) - len(first)     # pairs of Pi not in S yet
     layers = [bit_indices(first.bits)]
     for layer in layers:        # grows while it is read, one layer per step
         nxt = []
         for p in layer:
+            if len(nxt) == missing:     # every pair of Pi is seen
+                break
             i, j = divmod(p, n)
             succ_j = succ[j]
             for a in succ[i]:
@@ -71,7 +85,48 @@ def s_series(m: Fsm) -> FixpointSeries:
                         nxt.append(q)
         if nxt:
             layers.append(nxt)
+            missing -= len(nxt)
     return FixpointSeries(first, PairRelation(m.universe, flag_bits(seen)), layers[1:])
+
+
+_IS_ZERO = bytes([1]) + bytes(255)          # translation table: 0 -> 1, else -> 0
+_FIELD = {1: "B", 2: "H", 4: "I", 8: "Q"}   # memoryview format of a w-byte field
+
+
+def _row_sums(buf, n: int, w: int, nbr) -> bytearray:
+    """N . buf for the n x n matrix ``buf`` of w-byte fields (row-major, the
+    machine's byte order): row i is the sum of the rows N(i), each row
+    packed into one int."""
+    size = n * w
+    order = sys.byteorder
+    view = memoryview(buf)
+    rows = [int.from_bytes(view[k:k + size], order) for k in range(0, n * size, size)]
+    out = bytearray()
+    for nb in nbr:
+        total = 0
+        for a in nb:
+            total += rows[a]
+        out += total.to_bytes(size, order)
+    return out
+
+
+def _support_counts(flags: bytearray, n: int, nbr):
+    """Every pair's supports inside R_1 as ``(counts, w)``: the matrix
+    C = N . R_1 . N^T, N the 0/1 neighbour matrix and R_1 given as one flag
+    byte per pair, stored row-major in w-byte fields of the machine's byte
+    order.  w is the least power of two with 256^w > deg^2, deg the largest
+    neighbour count, so no field overflows.  Each product is n * deg big-int
+    additions; the transposes are strided byte slices."""
+    deg = max(map(len, nbr))
+    w = 1
+    while deg * deg >> 8 * w:
+        w *= 2
+    buf = bytearray(n * n * w)                  # R_1^T
+    buf[0 if sys.byteorder == "little" else w - 1::w] = transposed(flags, n)
+    half = _row_sums(buf, n, w, nbr)            # N . R_1^T = (R_1 . N^T)^T
+    for k in range(w):                          # R_1 . N^T, a byte at a time
+        buf[k::w] = transposed(half[k::w], n)
+    return _row_sums(buf, n, w, nbr), w
 
 
 def _shrink(m: Fsm, first: PairRelation, forward: bool) -> FixpointSeries:
@@ -79,33 +134,26 @@ def _shrink(m: Fsm, first: PairRelation, forward: bool) -> FixpointSeries:
     the successor map if ``forward`` and the predecessor map otherwise.
 
     A counter engine in the manner of AC-4 arc consistency.  Each pair of
-    R_1 counts its supports, the pairs of N(i) x N(j) inside R_1, once.  The
-    pairs with no support form the removal layer of step 2.  A layer is
-    marked dead as a whole; then every dead pair (a, b) takes one support
+    R_1 has as count its supports, the pairs of N(i) x N(j) inside R_1,
+    read off the matrix product N . R_1 . N^T (:func:`_support_counts`).
+    The pairs of R_1 with count 0 form the removal layer of step 2.  A layer
+    is marked dead as a whole; then every dead pair (a, b) takes one support
     from each live pair of B(a) x B(b), B being the reverse of N, and the
     pairs whose count reaches 0 form the next layer.  A pair is thus removed
     at step k + 1 exactly when its last support left R_k, as in the
-    synchronous recursion, and the whole run costs O(edges of the pair graph
-    inside R_1).  Memory is a count and a flag per pair, O(|X|^2).
+    synchronous recursion, and the propagation costs O(edges of the pair
+    graph inside R_1).  Memory is a flag byte and a w-byte count per pair.
     """
     succ, pre = m.adjacency
     nbr, back = (succ, pre) if forward else (pre, succ)
     n = m.universe.n
     alive = bit_flags(first.bits, n * n)
-    count = [0] * (n * n)
-    layer = []
-    for p in bit_indices(first.bits):
-        i, j = divmod(p, n)
-        nbr_j = nbr[j]
-        c = 0
-        for a in nbr[i]:
-            row = a * n
-            for b in nbr_j:
-                c += alive[row + b]
-        count[p] = c
-        if not c:
-            layer.append(p)
-    layers = [layer] if layer else []
+    counts, w = _support_counts(alive, n, nbr)
+    unsupported = first.bits
+    for k in range(w):          # a field is 0 when each of its bytes is
+        unsupported &= flag_bits(counts[k::w].translate(_IS_ZERO))
+    count = memoryview(counts).cast(_FIELD[w])
+    layers = [bit_indices(unsupported)] if unsupported else []
     for layer in layers:        # grows while it is read, one layer per step
         for p in layer:
             alive[p] = 0

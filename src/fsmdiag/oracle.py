@@ -94,7 +94,10 @@ def enum_relation(m: Fsm, which: str, k: int,
 
     ``which`` is one of S, F, B, Lambda, Gamma.  B needs the seed relation as
     ``sigma``; Lambda and Gamma need the joint-reachability fixed point there.
+    A machine that fails ``validate(m, "analysis")`` raises PreconditionError,
+    since the searches need it to have no silent states.
     """
+    validate(m, "analysis").require()
     if k < 1:
         raise UsageError("step index must be >= 1")
     if which in ("B", "Lambda", "Gamma") and sigma is None:

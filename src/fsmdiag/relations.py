@@ -31,6 +31,12 @@ def flag_bits(flags) -> int:
     return int(flags[::-1].translate(_DIGITS), 2)
 
 
+def transposed(flags, n: int) -> bytearray:
+    """The n x n byte matrix ``flags``, row-major, transposed: row j of the
+    result is column j, one strided slice."""
+    return bytearray().join(flags[j::n] for j in range(n))
+
+
 def bit_indices(bits: int) -> list:
     """Indices of the set bits of a nonnegative integer, ascending.
 
@@ -160,8 +166,7 @@ class PairRelation:
     def symmetric_closure(self):
         n = self.universe.n
         flags = bit_flags(self.bits, n * n)
-        transposed = bytearray().join(flags[j::n] for j in range(n))  # row j: column j
-        return PairRelation(self.universe, self.bits | flag_bits(transposed))
+        return PairRelation(self.universe, self.bits | flag_bits(transposed(flags, n)))
 
     def is_symmetric(self):
         return self.bits == self.symmetric_closure().bits

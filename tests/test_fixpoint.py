@@ -4,7 +4,7 @@ import pytest
 
 from fsmdiag import (
     Fsm, PairRelation, PreconditionError, Universe, UsageError, b_series,
-    compute_pi, f_series, gamma_series, lambda_series, s_series,
+    build_restricted, compute_pi, f_series, gamma_series, lambda_series, s_series,
 )
 from conftest import sym, theta
 
@@ -25,6 +25,32 @@ class TestPi:
     def test_all_distinct(self):
         m = Fsm("ab", "a", {"a": "x", "b": "y"}, [("a", "b"), ("b", "a")])
         assert compute_pi(m) == PairRelation.diagonal(m.universe)
+
+
+def reference_grow(m):
+    """Every step of S: the equal-output part of the initial square, grown
+    by the equal-output successor pairs of each step's pairs until it
+    repeats, computed plainly."""
+    steps = [{(i, j) for i in m.initial for j in m.initial if m.label[i] == m.label[j]}]
+    while True:
+        cur = steps[-1]
+        nxt = cur | {(a, b) for (i, j) in cur for a in m.succ(i) for b in m.succ(j)
+                     if m.label[a] == m.label[b]}
+        if nxt == cur:
+            return steps
+        steps.append(nxt)
+
+
+def assert_s_matches_reference(m):
+    """s_series(m) against reference_grow: every step and every layer."""
+    series = s_series(m)
+    steps = reference_grow(m)
+    assert [set(rel.pairs()) for rel in series] == steps
+    states, n = m.states, len(m.states)
+    for k, layer in enumerate(series.layers, 2):
+        assert sorted(layer) == sorted(states.index(i) * n + states.index(j)
+                                       for (i, j) in steps[k - 1] - steps[k - 2])
+    return series
 
 
 class TestS:
@@ -49,8 +75,24 @@ class TestS:
 
     def test_tolerates_missing_liveness(self, m2):
         # the critical-restricted machine has sink states by construction
-        from fsmdiag import build_restricted
         s_series(build_restricted(m2))  # must not raise
+
+    def test_initial_square_covering_pi_ends_at_step_one(self, m1):
+        # every state of m1 is initial, so S_1 is already Pi, which S cannot
+        # outgrow; the restricted machine has the same states and labels
+        for m in (m1, build_restricted(m1)):
+            s = s_series(m)
+            assert s.first == s.fixed_point == compute_pi(m)
+            assert s.convergence_step == 1 and s.layers == []
+
+    def test_growing_to_pi_keeps_every_layer(self):
+        # one output and one initial state: S_1 is a single pair and S grows
+        # to Pi, every pair, at step 9
+        m = Fsm("1234", "1", {s: "a" for s in "1234"},
+                [("1", "2"), ("2", "3"), ("3", "4"), ("4", "1"), ("4", "2")])
+        s = assert_s_matches_reference(m)
+        assert s.convergence_step == 9
+        assert s.fixed_point == compute_pi(m) == PairRelation.full(m.universe)
 
 
 class TestF:

@@ -51,6 +51,16 @@ class TestEnumRelation:
         with pytest.raises(UsageError):
             enum_relation(m1, "Q", 1, None)
 
+    def test_refuses_machine_outside_analysis_assumptions(self, silent_machine):
+        # the searches read equal outputs position by position, which would
+        # take the silent output for an observed one
+        message = ("machine fails analysis assumptions: "
+                   "state 3 is labelled with the silent output")
+        for which, k in (("S", 3), ("F", 2)):
+            with pytest.raises(PreconditionError) as exc:
+                enum_relation(silent_machine, which, k)
+            assert str(exc.value) == message
+
     def test_budget(self, m2):
         a = Analysis(m2)
         with pytest.raises(BudgetExceededError):

@@ -1,6 +1,7 @@
 """Property-based tests over randomly generated machines."""
 
 import itertools
+import random
 
 import hypothesis.strategies as st
 import pytest
@@ -9,12 +10,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from fsmdiag import (
     Analysis, BudgetExceededError, DiagParams, DiagVerdict, Estimator, Fsm, Horizon,
     InconsistentObservationError, PairRelation, PropertyKind, UsageError,
-    check, check_definition, desilent, enum_relation, enumerate_executions,
-    fsm_to_text, max_silent_length, parse_fsm, product_relation, validate,
+    build_restricted, check, check_definition, desilent, enum_relation,
+    enumerate_executions, fsm_to_text, max_silent_length, parse_fsm, product_relation,
+    validate,
 )
 from fsmdiag.epsremoval import silent_runs
 from fsmdiag.fixpoint import _avoid_seed, _shrink, compute_pi, s_series
 from test_epsremoval import output_language
+from test_fixpoint import assert_s_matches_reference
 
 COMMON = settings(max_examples=60, deadline=None,
                   suppress_health_check=[HealthCheck.filter_too_much])
@@ -117,6 +120,14 @@ def test_series_shape(m):
         assert series.at(k + 1) == series.fixed_point
 
 
+@given(machines(max_states=6, outputs="ab"))
+@COMMON
+def test_s_matches_plain_growth(m):
+    # on two outputs S often reaches Pi, and then stops growing early
+    assert_s_matches_reference(m)
+    assert_s_matches_reference(build_restricted(m))
+
+
 def reference_shrink(m, seed, step):
     """Every step of R_{k+1} = {(i,j) in R_k : (N(i) x N(j)) cap R_k nonempty},
     N = ``step``, computed plainly until it repeats."""
@@ -146,6 +157,10 @@ def test_shrink_matches_synchronous_recursion(m, forward, which, data):
     else:  # any relation, symmetric or not
         pair = st.tuples(st.sampled_from(states), st.sampled_from(states))
         seed = PairRelation.from_pairs(m.universe, data.draw(st.sets(pair)))
+    assert_shrink_matches_reference(m, seed, forward)
+
+
+def assert_shrink_matches_reference(m, seed, forward):
     series = _shrink(m, seed, forward)
     steps = reference_shrink(m, seed, m.succ if forward else m.pre)
     assert series.convergence_step == len(steps)
@@ -153,6 +168,7 @@ def test_shrink_matches_synchronous_recursion(m, forward, which, data):
         assert set(series.at(k).pairs()) == steps[min(k, len(steps)) - 1]
     assert [set(rel.pairs()) for rel in series] == steps
     assert series.emptied_at == (len(steps) if steps[0] and not steps[-1] else None)
+    states = m.states
     n = len(states)
     assert len(series.layers) == len(steps) - 1
     for k, layer in enumerate(series.layers, 2):
@@ -160,6 +176,51 @@ def test_shrink_matches_synchronous_recursion(m, forward, which, data):
                               for (i, j) in steps[k - 2] - steps[k - 1]}
     changed = [p for layer in series.layers for p in layer]
     assert len(set(changed)) == len(changed)
+
+
+def hub_machine():
+    """A hub h with 20 a-labelled successors and 20 b-labelled predecessors.
+    Successor k leads into a chain of k % 4 more a-states that dead-ends,
+    and predecessor k is reached through a chain of k % 4 more b-states from
+    a source; the last chain of each side ends (resp. starts) in a loop, so
+    one support of (h, h) lasts in each direction.  Every b-state is
+    initial and the first successor is critical."""
+    label, trans = {"h": "h"}, []
+    for k in range(20):
+        succ = ["s%02d" % k] + ["s%02d_%d" % (k, d) for d in range(k % 4)]
+        pred = ["p%02d" % k] + ["p%02d_%d" % (k, d) for d in range(k % 4)]
+        label.update({s: "a" for s in succ})
+        label.update({p: "b" for p in pred})
+        trans += [("h", succ[0]), (pred[0], "h")]
+        trans += list(zip(succ, succ[1:])) + [(b, a) for a, b in zip(pred, pred[1:])]
+        if k == 19:
+            trans += [(succ[-1], succ[-1]), (pred[-1], pred[-1])]
+    initial = [s for s, y in label.items() if y == "b"]
+    return Fsm(label, initial, label, trans, ["s00"])
+
+
+@pytest.mark.parametrize("forward", [True, False])
+@pytest.mark.parametrize("which", ["pi", "s_star", "avoid", "random"])
+def test_shrink_counts_wider_than_a_byte(forward, which):
+    # (h, h) has up to 20 x 20 supports, more than a byte holds, and most of
+    # them leave over the first steps
+    m = hub_machine()
+    pi, s_star = compute_pi(m), s_series(m).fixed_point
+    if which == "pi":
+        seed = pi
+    elif which == "s_star":
+        seed = s_star
+    elif which == "avoid":
+        seed = _avoid_seed(m, s_star)
+    else:   # most of Pi and a few other pairs, not symmetric
+        rng = random.Random(5)
+        pairs = [(i, j) for i in m.states for j in m.states
+                 if rng.random() < (0.9 if (i, j) in pi else 0.02)]
+        seed = PairRelation.from_pairs(m.universe, pairs + [("h", "h")])
+        assert not seed.is_symmetric()
+    step = m.succ if forward else m.pre
+    assert sum((a, b) in seed for a in step("h") for b in step("h")) > 255
+    assert_shrink_matches_reference(m, seed, forward)
 
 
 @given(analysis_machines(max_states=7, outputs="abc"))
