@@ -4,8 +4,8 @@ __version__ = "0.1.0"
 
 from .checker import Analysis, DiagParams, DiagVerdict, PropertyKind, check
 from .diagnoser import DiagnosisEvent, Estimator, observe
-from .epsremoval import (SilentContext, SilentRemovalResult, desilent,
-                         execution_image, max_silent_length, silent_context)
+from .epsremoval import (SilentRemovalResult, desilent, execution_image,
+                         max_silent_length)
 from .errors import (BudgetExceededError, FsmDiagError,
                      InconsistentObservationError, ParseError,
                      PreconditionError, UsageError)

@@ -211,7 +211,20 @@ def _write_files(texts):
             fh.write(texts[path])
 
 
+def _same_file(a, b):
+    """Do two paths name one file: the same resolved path, or, when both
+    exist, the same file reached another way (a hard link, say)?"""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return False
+
+
 def cmd_desilent(args):
+    if args.provenance and _same_file(args.output, args.provenance):
+        raise UsageError("--provenance must name a different file than -o")
     m = _load(args)
     result = desilent(m)
     texts = {args.output: fsm_to_text(result.m_hat)}
@@ -221,11 +234,11 @@ def cmd_desilent(args):
         texts[args.provenance] = _dumps(prov)
     _write_files(texts)
     _emit(args, {"states": len(result.m_hat.states),
-                 "critical": sorted(result.omega_hat),
+                 "critical": sorted(result.m_hat.critical),
                  "output": args.output},
           ["wrote %s (%d states, critical: %s)"
            % (args.output, len(result.m_hat.states),
-              " ".join(sorted(result.omega_hat)) or "-")])
+              " ".join(sorted(result.m_hat.critical)) or "-")])
     return 0
 
 

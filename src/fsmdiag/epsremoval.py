@@ -2,36 +2,21 @@
 
 Rewrites a machine with silent (``_``-labelled) states into an equivalent
 machine without them, preserving the projected output language and the
-location of critical crossings.  Each maximal silent run is folded into a
-single fresh state named after the run's last silent state and the non-silent
-state that entered it; a run that touches the critical set folds into a
-flagged copy that joins the new critical set.  The runs are found by one
-forward search per entering state (``silent_runs``).
+location of critical crossings.  A non-silent state w followed by a silent
+run that ends in q folds into one fresh state ``q~w`` with w's output.  A run
+ends at a silent state with no silent successor or with some non-silent
+successor, and the fresh state steps only to q's non-silent successors.  A
+run that touches the critical set (w included) folds into a flagged copy
+``q~w+`` that joins the new critical set.  The runs are found on the input
+machine by one forward search per entering state (``silent_runs``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import PreconditionError, UsageError
-from .model import EPSILON, Fsm, validate
-
-
-@dataclass(frozen=True)
-class SilentContext:
-    """Structural facts about the silent part of a machine."""
-    x_eps: frozenset      # silent states
-    x_f: frozenset        # non-silent states with a silent successor
-    x_l: frozenset        # silent states with no silent successor
-    lam: int              # longest silent run, in states
-
-
-def silent_context(m: Fsm) -> SilentContext:
-    eps = m.silent_states
-    x_f = frozenset(s for s in m.states
-                    if s not in eps and m.succ(s) & eps)
-    x_l = frozenset(s for s in eps if not m.succ(s) & eps)
-    return SilentContext(eps, x_f, x_l, max_silent_length(m))
+from .model import Fsm, validate
 
 
 def max_silent_length(m: Fsm) -> int:
@@ -107,9 +92,7 @@ def silent_reach_crossing(m: Fsm, q, w) -> bool:
 @dataclass(frozen=True)
 class SilentRemovalResult:
     m_hat: Fsm
-    omega_hat: frozenset
-    provenance: dict            # new state -> (q, w, crossed)
-    split: dict = field(default_factory=dict)  # original silent state -> (s-copy, n-copy)
+    provenance: dict            # fresh state -> (q, w, crossed); q and w are states of m
 
 
 def _fresh(base, used):
@@ -120,88 +103,54 @@ def _fresh(base, used):
     return name
 
 
-def _split_mixed(m: Fsm):
-    """Give each silent state with both silent and non-silent successors two
-    copies, one per successor kind, both inheriting every predecessor."""
-    eps = m.silent_states
-    used = set(m.states)
-    split = {}
-    for q in m.states:
-        if q in eps:
-            succs = m.succ(q)
-            if succs & eps and succs - eps:
-                split[q] = (_fresh(q + ".s", used), _fresh(q + ".n", used))
-    if not split:
-        return m, split
-    states = [s for s in m.states if s not in split]
-    label = {s: m.label[s] for s in states}
-    critical = set(m.critical - set(split))
-    for q, (qs, qn) in split.items():
-        states += [qs, qn]
-        label[qs] = label[qn] = EPSILON
-        if q in m.critical:
-            critical.update((qs, qn))
-    trans = set()
-    for (a, b) in m.trans:
-        if a in split:
-            sources = [split[a][0] if b in eps else split[a][1]]
-        else:
-            sources = [a]
-        targets = list(split[b]) if b in split else [b]
-        for s in sources:
-            for t in targets:
-                trans.add((s, t))
-    return Fsm(states, m.initial, label, trans, critical), split
-
-
 def desilent(m: Fsm) -> SilentRemovalResult:
-    """Fold every maximal silent run into a fresh non-silent state.
+    """Fold every silent run into a fresh non-silent state.
 
-    A fresh state exists per (last silent state of a run, entering non-silent
-    state) pair, in a plain variant when some such run avoids the critical
-    set and a flagged variant when some run touches it; the flagged variants
-    make up the new critical states together with the surviving old ones.
-    The variants come from one ``silent_runs`` search per entering state and
-    are named in (q, w, crossed) order.  Silent states and the states left
-    without successors are then dropped.
+    A run ends at a silent state q with no silent successor or with some
+    non-silent successor.  A fresh state exists per (q, entering non-silent
+    state w) pair, in a plain variant ``q~w`` when some such run avoids the
+    critical set and a flagged variant ``q~w+`` when some run touches it (w
+    included); the flagged variants make up the new critical states together
+    with the surviving old ones.  A fresh state has w's output and steps to
+    q's non-silent successors and to the fresh states they enter.  The
+    variants come from one ``silent_runs`` search per entering state and are
+    named in (q, w, crossed) order.  Silent states and the states left without
+    successors are then dropped; if that drops every state, PreconditionError.
     """
     validate(m, "desilent").require()
-    if not m.silent_states:
-        return SilentRemovalResult(m, m.critical, {}, {})
+    eps = m.silent_states
+    if not eps:
+        return SilentRemovalResult(m, {})
 
-    m0, split = _split_mixed(m)
-    ctx = silent_context(m0)
-    used = set(m0.states)
-
+    ends = {q for q in eps if not m.succ(q) & eps or m.succ(q) - eps}
+    entries = [w for w in m.states if w not in eps and m.succ(w) & eps]
+    used = set(m.states)
     new = {}  # (q, w, crossed) -> fresh name, q-major, plain before flagged
-    for q, w, crossed in sorted((q, w, crossed) for w in ctx.x_f
-                                for q, crossed in silent_runs(m0, w)
-                                if q in ctx.x_l):
+    for q, w, crossed in sorted((q, w, crossed) for w in entries
+                                for q, crossed in silent_runs(m, w)
+                                if q in ends):
         new[(q, w, crossed)] = _fresh(
             "%s~%s%s" % (q, w, "+" if crossed else ""), used)
-    new_initial = {name for (q, w, c), name in new.items() if w in m0.initial}
 
     by_entry = {}  # w -> names of fresh states entered through w
     for (q, w, crossed), name in new.items():
         by_entry.setdefault(w, []).append(name)
 
-    eps = ctx.x_eps
-    trans = {(a, b) for (a, b) in m0.trans if a not in eps and b not in eps}
+    trans = {(a, b) for (a, b) in m.trans if a not in eps and b not in eps}
     for (q, w, crossed), name in new.items():
-        for t in m0.succ(q):       # q in x_l, so t is never silent
+        for t in m.succ(q) - eps:
             trans.add((name, t))
             for other in by_entry.get(t, ()):
                 trans.add((name, other))
-        for p in m0.pre(w):
-            if p not in eps:
-                trans.add((p, name))
+        for p in m.pre(w) - eps:
+            trans.add((p, name))
 
-    states = set(m0.states) - eps | set(new.values())
-    label = {s: m0.label[s] for s in states & set(m0.states)}
+    states = set(m.states) - eps | set(new.values())
+    label = {s: m.label[s] for s in m.states if s not in eps}
     for (q, w, crossed), name in new.items():
-        label[name] = m0.label[w]
-    initial = (m0.initial & states) | new_initial
-    critical = (m0.critical & states) | {n for (q, w, c), n in new.items() if c}
+        label[name] = m.label[w]
+    initial = m.initial | {n for (q, w, c), n in new.items() if w in m.initial}
+    critical = (m.critical - eps) | {n for (q, w, c), n in new.items() if c}
 
     # drop sink states until none remain; dropping one takes a live successor
     # from each predecessor, and those left with none are sinks in turn
@@ -217,12 +166,15 @@ def desilent(m: Fsm) -> SilentRemovalResult:
             if not live[p]:
                 sinks.append(p)
     states -= set(sinks)
+    if not states:
+        raise PreconditionError("silent-state removal leaves no state: "
+                                "every execution ends in a state without successor")
     trans = {(a, b) for (a, b) in trans if a in states and b in states}
 
     m_hat = Fsm(states, initial & states,
                 {s: label[s] for s in states}, trans, critical & states)
     provenance = {name: key for key, name in new.items() if name in states}
-    return SilentRemovalResult(m_hat, m_hat.critical, provenance, split)
+    return SilentRemovalResult(m_hat, provenance)
 
 
 def execution_image(result: SilentRemovalResult, m: Fsm, x) -> tuple:
@@ -250,11 +202,8 @@ def execution_image(result: SilentRemovalResult, m: Fsm, x) -> tuple:
             run.append(x[j])
             j += 1
         if run:
-            q = run[-1]
-            if q in result.split:
-                q = result.split[q][1]  # the copy keeping non-silent successors
             crossed = u in m.critical or any(s in m.critical for s in run)
-            name = lookup.get((q, u, crossed))
+            name = lookup.get((run[-1], u, crossed))
             if name is None:
                 raise UsageError("silent run %s has no surviving image" % (run,))
             out.append(name)

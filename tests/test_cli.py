@@ -209,6 +209,38 @@ class TestDesilent:
         assert code == 0
         assert json.loads(out)["output"] == os.devnull
 
+    @pytest.mark.parametrize("prov, before", [
+        ("out.fsm", None), ("out.fsm", "kept\n"), ("sub/../out.fsm", "kept\n"),
+        ("symlink", None), ("hard-link", "kept\n"),
+    ])
+    def test_one_destination_twice(self, capsys, tmp_path, monkeypatch, prov, before):
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("sub")
+        if before is not None:
+            (tmp_path / "out.fsm").write_text(before)
+        if prov == "symlink":
+            os.symlink("out.fsm", prov)
+        elif prov == "hard-link":
+            os.link("out.fsm", prov)
+        code, out, err = run(capsys, "desilent", SILENT, "-o", "out.fsm", "--provenance", prov)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if before is None:
+            assert not (tmp_path / "out.fsm").exists()
+        else:
+            assert (tmp_path / "out.fsm").read_text() == before
+
+    def test_nothing_left_is_a_precondition_failure(self, capsys, tmp_path):
+        path = tmp_path / "dies.fsm"
+        path.write_text("fsm v1\nstate a output=x init\nstate s output=_\ntrans a s\n")
+        code, out, _ = run(capsys, "validate", str(path), "--mode", "desilent")
+        assert code == 0 and "ok" in out
+        code, out, err = run(capsys, "desilent", str(path), "-o", str(tmp_path / "out.fsm"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "leaves no state" in err
+        assert not (tmp_path / "out.fsm").exists()
+
 
 class TestObserve:
     def test_trace_event(self, capsys):
@@ -452,7 +484,9 @@ def corrupted_fixtures(draw):
 def test_corrupted_files_exit_cleanly(capsys, tmp_path, data):
     path = tmp_path / "corrupt.fsm"
     path.write_bytes(data)
-    for argv in (["validate", str(path)], ["check", str(path), "--property", "diag"]):
+    for argv in (["validate", str(path)], ["check", str(path), "--property", "diag"],
+                 ["validate", str(path), "--mode", "desilent"],
+                 ["desilent", str(path), "-o", str(tmp_path / "out.fsm")]):
         code, _, _ = run(capsys, *argv)
         assert code in (0, 1, 2)
 

@@ -3,7 +3,7 @@ import pytest
 from fsmdiag import epsremoval
 from fsmdiag import (
     Fsm, PreconditionError, UsageError, desilent, execution_image,
-    is_execution, max_silent_length, output_of, silent_context,
+    is_execution, max_silent_length, output_of, validate,
 )
 from fsmdiag.epsremoval import silent_reach_avoiding, silent_reach_crossing
 
@@ -48,13 +48,6 @@ def dead_branch():
 
 
 class TestSilentContext:
-    def test_silent_machine(self, silent_machine):
-        ctx = silent_context(silent_machine)
-        assert ctx.x_eps == {"3"}
-        assert ctx.x_f == {"1", "2"}
-        assert ctx.x_l == {"3"}
-        assert ctx.lam == 1
-
     def test_max_silent_length(self, m1, silent_machine):
         assert max_silent_length(m1) == 0
         assert max_silent_length(silent_machine) == 1
@@ -103,7 +96,7 @@ class TestDesilent:
     def test_no_silent_states_identity(self, m1):
         result = desilent(m1)
         assert result.m_hat == m1
-        assert result.omega_hat == m1.critical
+        assert result.m_hat.critical == m1.critical
         assert result.provenance == {}
 
     def test_silent_machine_structure(self, silent_machine):
@@ -111,7 +104,7 @@ class TestDesilent:
         mh = result.m_hat
         assert set(mh.states) == {"0", "4", "5", N1, N2}
         assert mh.initial == {"0", "4"}
-        assert result.omega_hat == {N1, N2}
+        assert mh.critical == {N1, N2}
         assert mh.label == {"0": "a", "4": "a", "5": "c", N1: "a", N2: "b"}
         assert set(mh.trans) == {("0", N1), ("4", N2), ("4", "5"), ("5", "5"),
                                  (N1, "4"), (N1, "5"), (N2, "4"), (N2, "5")}
@@ -139,6 +132,7 @@ class TestDesilent:
 
     def test_one_max_silent_length_call(self, silent_machine, dead_branch,
                                         monkeypatch):
+        # validation already rejects silent cycles, so no run length is needed
         calls = []
 
         def counted(m):
@@ -149,12 +143,47 @@ class TestDesilent:
         for m in (silent_machine, dead_branch):
             calls.clear()
             desilent(m)
-            assert len(calls) <= 1
+            assert not calls
 
     def test_validation_enforced(self):
         m = Fsm("ab", "a", {"a": "x", "b": "_"}, [("a", "b"), ("b", "b")])
         with pytest.raises(PreconditionError):
             desilent(m)
+
+    def test_nothing_left_after_sink_pruning(self):
+        # valid for removal, but no execution goes on forever
+        m = Fsm("as", "a", {"a": "x", "s": "_"}, [("a", "s")])
+        assert validate(m, "desilent").ok
+        with pytest.raises(PreconditionError, match="leaves no state"):
+            desilent(m)
+
+
+@pytest.fixture
+def mixed():
+    """s is silent with a silent successor t and a non-silent one b; t is
+    critical."""
+    return Fsm("abst", "a", {"a": "x", "b": "y", "s": "_", "t": "_"},
+               [("a", "s"), ("a", "b"), ("b", "a"),
+                ("s", "t"), ("s", "b"), ("t", "b")], critical="t")
+
+
+class TestMixedSilentState:
+    def test_runs_end_at_the_mixed_state_and_after_it(self, mixed):
+        result = desilent(mixed)
+        mh = result.m_hat
+        assert set(mh.states) == {"a", "b", "s~a", "t~a+"}
+        assert mh.initial == {"a", "s~a", "t~a+"}
+        assert mh.critical == {"t~a+"}
+        assert mh.label == {"a": "x", "b": "y", "s~a": "x", "t~a+": "x"}
+        assert set(mh.trans) == {("a", "b"), ("b", "a"), ("b", "s~a"), ("b", "t~a+"),
+                                 ("s~a", "b"), ("t~a+", "b")}
+        assert result.provenance == {"s~a": ("s", "a", False), "t~a+": ("t", "a", True)}
+
+    def test_images(self, mixed):
+        result = desilent(mixed)
+        assert execution_image(result, mixed, "asb") == ("s~a", "b")
+        assert execution_image(result, mixed, "astb") == ("t~a+", "b")
+        assert execution_image(result, mixed, "ast") == ("a",)
 
 
 class TestExecutionImage:
@@ -171,7 +200,7 @@ class TestExecutionImage:
         result = desilent(silent_machine)
         img = execution_image(result, silent_machine, ["0", "1", "3", "5"])
         assert img == ("0", N1, "5")
-        assert N1 in result.omega_hat
+        assert N1 in result.m_hat.critical
 
     def test_trailing_silent_states_dropped(self):
         m = Fsm("abs", "a", {"a": "x", "b": "y", "s": "_"},

@@ -9,10 +9,10 @@ from hypothesis import HealthCheck, assume, given, settings
 
 from fsmdiag import (
     Analysis, BudgetExceededError, DiagParams, DiagVerdict, Estimator, Fsm, Horizon,
-    InconsistentObservationError, PairRelation, PropertyKind, UsageError,
+    InconsistentObservationError, PairRelation, PreconditionError, PropertyKind, UsageError,
     build_restricted, check, check_definition, desilent, enum_relation,
-    enumerate_executions, fsm_to_text, max_silent_length, parse_fsm, product_relation,
-    validate,
+    enumerate_executions, execution_image, fsm_to_text, is_execution, max_silent_length,
+    output_of, parse_fsm, product_relation, validate,
 )
 from fsmdiag.epsremoval import silent_runs
 from fsmdiag.fixpoint import _avoid_seed, _shrink, compute_pi, s_series
@@ -399,6 +399,75 @@ def test_desilent_language_preserved(m):
     result = desilent(m)
     assert not result.m_hat.silent_states
     assert output_language(m, 5) == output_language(result.m_hat, 5)
+
+
+@st.composite
+def removable_machines(draw, max_states=6):
+    """Machines valid for desilent, many with mixed silent states (a silent
+    and a non-silent successor): state 0 and every initial state speak, every
+    state draws two or three successors, and silent-to-silent transitions only
+    go up in state order, so no silent run is a cycle."""
+    n = draw(st.integers(3, max_states))
+    states = [str(i) for i in range(n)]
+    label = {s: draw(st.sampled_from("ab__")) for s in states}
+    label["0"] = "a"
+    initial = {"0"} | {s for s in draw(st.sets(st.sampled_from(states))) if label[s] != "_"}
+    trans = {(s, t) for s in states
+             for t in draw(st.sets(st.sampled_from(states), min_size=2, max_size=3))
+             if not (label[s] == label[t] == "_" and int(t) <= int(s))}
+    critical = draw(st.sets(st.sampled_from(states), max_size=n - 1))
+    return Fsm(states, initial, label, trans, critical)
+
+
+def assert_images_of_executions(m):
+    """Every execution of m from an initial state, up to 6 states long, maps
+    to an execution of desilent(m) from an initial state with the same
+    outputs, each image state critical exactly when its folded segment
+    touched the critical set."""
+    # states from which an execution goes on for |X| more states, so forever
+    goes_on = set(m.states)
+    for _ in m.states:
+        goes_on = {s for s in goes_on if m.succ(s) & goes_on}
+    try:
+        result = desilent(m)
+    except PreconditionError:
+        assert not goes_on
+        return
+    mh = result.m_hat
+    for name, (q, w, crossed) in result.provenance.items():
+        assert m.is_silent(q) and not m.is_silent(w)
+    for length in range(1, 7):
+        for x in enumerate_executions(m, m.initial, length):
+            # execution_image drops trailing silent states; what is left must
+            # go on through a non-silent state, or its last state has no image
+            kept = list(x)
+            while m.is_silent(kept[-1]):
+                kept.pop()
+            if not (m.succ(kept[-1]) & goes_on) - m.silent_states:
+                continue
+            img = execution_image(result, m, x)
+            assert is_execution(mh, img) and img[0] in mh.initial
+            assert output_of(mh, img) == output_of(m, x)
+            # the folded segments: each non-silent state and the silent run after it
+            starts = [i for i, s in enumerate(kept) if not m.is_silent(s)]
+            segments = [kept[i:j] for i, j in zip(starts, starts[1:] + [len(kept)])]
+            assert [s in mh.critical for s in img] == \
+                [any(s in m.critical for s in seg) for seg in segments]
+
+
+@given(machines(allow_silent=True))
+@COMMON
+def test_desilent_maps_every_execution(m):
+    assume(validate(m, "desilent").ok)
+    assume(m.silent_states)
+    assert_images_of_executions(m)
+
+
+@given(removable_machines())
+@COMMON
+def test_desilent_maps_every_execution_through_mixed_states(m):
+    assert validate(m, "desilent").ok
+    assert_images_of_executions(m)
 
 
 @given(machines(allow_silent=True))
