@@ -14,6 +14,20 @@ estimate is the oldest set, read without a rescan.  Propagating only the
 (lagged state, current state) endpoint pairs would over-approximate the
 lagged estimate, because it forgets whether a single execution connects the
 two endpoints through the window.
+
+Both set operations are memoized per session, in the manner of a lazily
+built subset automaton: the forward step, (newest set, symbol) -> (states
+of the set with a successor of that symbol, their successors of that
+symbol), and the backward narrowing, (older set, later set) -> the states
+of the older set with a successor in the later one.  Each is a pure
+function of its key, so a hit gives what recomputing would, and events and
+windows stay exact; a stream that revisits a few sets pays for each step
+once.  Every set the tables hand out is interned in a third table, so
+equal sets are stored once and later lookups match them by identity.  The
+unknown-symbol check runs before any lookup, and a rejected symbol leaves
+the window as it was.  A table that reaches ``MEMO_CAP`` entries is cleared
+wholesale before the next entry goes in, so none grows past the cap; the
+tables die with the session.
 """
 
 from __future__ import annotations
@@ -26,7 +40,18 @@ from .errors import InconsistentObservationError, UsageError
 from .model import Fsm
 
 
-@dataclass(frozen=True)
+#: Entries each memo table of a session holds before it is cleared.
+MEMO_CAP = 1024
+
+
+def _remember(table: dict, key, value):
+    if len(table) >= MEMO_CAP:
+        table.clear()
+    table[key] = value
+    return value
+
+
+@dataclass(frozen=True, slots=True)
 class DiagnosisEvent:
     detected_at: int        # step at which the crossing became certain
     window: tuple           # closed step interval [lo, hi] containing a crossing
@@ -55,6 +80,9 @@ class Estimator:
         # state sets at steps k - d .. k, each narrowed by the whole stream
         self._window = deque(maxlen=self.lag + 1)
         self._done = False
+        self._advanced = {}     # (set, symbol) -> (states kept, image)
+        self._narrowed = {}     # (older set, later set) -> narrowed older set
+        self._sets = {}         # each set the tables hold, to itself
 
     def step(self, y) -> "DiagnosisEvent | None":
         """Consume one output symbol; return a detection event, if any."""
@@ -65,34 +93,34 @@ class Estimator:
             prev, keep = (), ()
             cur = frozenset(s for s in self.m.initial if self.m.label[s] == y)
         else:
-            prev, keep, cur = window[-1], [], set()
-            index = self.m.succ_by_label
-            for s in prev:
-                after = index[s].get(y)
-                if after:
-                    keep.append(s)
-                    cur |= after
+            prev = window[-1]
+            try:
+                keep, cur = self._advanced[prev, y]
+            except KeyError:
+                keep, cur = self._advance(prev, y)
         if not cur:
             raise InconsistentObservationError(
                 "no execution of the machine produces this output stream")
-        window.append(frozenset(cur))
+        window.append(cur)
         self.k += 1
         if len(keep) < len(prev) and len(window) > 1:
             # the newest older set loses the states with no y-successor;
             # each older set then loses the states with no successor left
             # in the set after it, until one loses nothing
-            succ = self.m.succ
-            later = window[-2] = frozenset(keep)
+            later = window[-2] = keep
             for i in range(len(window) - 3, -1, -1):
                 older = window[i]
-                narrowed = frozenset(s for s in older if not succ(s).isdisjoint(later))
+                try:
+                    narrowed = self._narrowed[older, later]
+                except KeyError:
+                    narrowed = self._narrow(older, later)
                 if len(narrowed) == len(older):
                     break
                 window[i] = later = narrowed
         if self._done or self.k < self.threshold:
             return None
         est = self.current_estimate()
-        if not est & self.m.critical:
+        if est.isdisjoint(self.m.critical):
             return None
         pin = self.k - self.lag
         if est <= self.m.critical:
@@ -111,6 +139,32 @@ class Estimator:
         if self.one_shot:
             self._done = True
         return event
+
+    def _advance(self, prev: frozenset, y) -> tuple:
+        """The forward step from ``prev`` on ``y``, computed and memoized."""
+        keep, cur = [], set()
+        index = self.m.succ_by_label
+        for s in prev:
+            after = index[s].get(y)
+            if after:
+                keep.append(s)
+                cur |= after
+        keep = prev if len(keep) == len(prev) else self._interned(frozenset(keep))
+        return _remember(self._advanced, (prev, y), (keep, self._interned(frozenset(cur))))
+
+    def _narrow(self, older: frozenset, later: frozenset) -> frozenset:
+        """The states of ``older`` with a successor in ``later``, computed
+        and memoized."""
+        succ = self.m.succ
+        narrowed = frozenset(s for s in older if not succ(s).isdisjoint(later))
+        narrowed = older if len(narrowed) == len(older) else self._interned(narrowed)
+        return _remember(self._narrowed, (older, later), narrowed)
+
+    def _interned(self, states: frozenset) -> frozenset:
+        """The session's one object for the set ``states``, so that equal
+        sets are stored once and memo keys match by identity."""
+        known = self._sets.get(states)
+        return known if known is not None else _remember(self._sets, states, states)
 
     def current_estimate(self) -> frozenset:
         """States the machine can be in at step k - d, given everything

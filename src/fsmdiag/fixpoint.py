@@ -15,9 +15,12 @@ package:
 
 All five walk the pair graph, whose nodes are ordered state pairs and whose
 edges join (i, j) to (a, b) for a a neighbour of i and b one of j, over the
-machine's integer adjacency (``Fsm.adjacency``).  ``s_series`` is a worklist;
-S never leaves Pi, the equal-output pairs, so it stops as soon as it holds
-all of Pi, and a machine whose X0 x X0 already covers Pi costs only its seed.
+machine's integer adjacency (``Fsm.adjacency``).  Pi, the equal-output
+pairs, is built once per machine (``Fsm.pi``, read by ``compute_pi``) and
+seeds or bounds S, F and B.  ``s_series`` is a worklist; S never leaves Pi,
+so it stops as soon as it holds all of Pi, and when X0 x X0 already covers
+Pi the seed is returned as the fixed point with no layers, without decoding
+a single pair.
 The four shrinking recursions share one counter engine, ``_shrink``, in the
 manner of AC-4 arc consistency.  Each pair's supports are counted once, as
 the integer matrix C = N . R_1 . N^T (N the 0/1 neighbour matrix), formed a
@@ -41,14 +44,9 @@ from .relations import (
 
 
 def compute_pi(m: Fsm) -> PairRelation:
-    """All ordered pairs of states sharing the same output symbol."""
-    by_label = {}
-    for s in m.states:
-        by_label.setdefault(m.label[s], []).append(s)
-    rel = PairRelation(m.universe)
-    for group in by_label.values():
-        rel = rel | product_relation(m.universe, group, group)
-    return rel
+    """All ordered pairs of states sharing the same output symbol, built
+    once per machine (``Fsm.pi``)."""
+    return m.pi
 
 
 def s_series(m: Fsm) -> FixpointSeries:
@@ -57,16 +55,19 @@ def s_series(m: Fsm) -> FixpointSeries:
     Grows monotonically; a worklist over the machine's integer adjacency
     propagates only newly added pairs, so the cost is linear in the number
     of transition pairs rather than steps times relation size.  It stops
-    once every pair of Pi is in, since S stays inside Pi.  Liveness is not
-    required.
+    once every pair of Pi is in, since S stays inside Pi: when X0 x X0
+    already covers Pi, the seed is returned as the fixed point with no
+    layers, and no pair is decoded.  Liveness is not required.
     """
+    pi = compute_pi(m)
+    first = product_relation(m.universe, m.initial, m.initial) & pi
+    missing = len(pi) - len(first)     # pairs of Pi not in S yet
+    if not missing:
+        return FixpointSeries(first, first, [])
     n = m.universe.n
     succ, _ = m.adjacency
     label = [m.label[s] for s in m.states]
-    pi = compute_pi(m)
-    first = product_relation(m.universe, m.initial, m.initial) & pi
     seen = bit_flags(first.bits, n * n)
-    missing = len(pi) - len(first)     # pairs of Pi not in S yet
     layers = [bit_indices(first.bits)]
     for layer in layers:        # grows while it is read, one layer per step
         nxt = []
@@ -86,7 +87,8 @@ def s_series(m: Fsm) -> FixpointSeries:
         if nxt:
             layers.append(nxt)
             missing -= len(nxt)
-    return FixpointSeries(first, PairRelation(m.universe, flag_bits(seen)), layers[1:])
+    fixed = pi if not missing else PairRelation(m.universe, flag_bits(seen))
+    return FixpointSeries(first, fixed, layers[1:])
 
 
 _IS_ZERO = bytes([1]) + bytes(255)          # translation table: 0 -> 1, else -> 0

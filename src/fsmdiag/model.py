@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError, ParseError, PreconditionError, UsageError
-from .relations import Universe
+from .relations import PairRelation, Universe, product_relation
 
 #: Reserved token for the silent (null) output.
 EPSILON = "_"
@@ -115,6 +115,19 @@ class Fsm:
         def positions(step):
             return tuple(tuple(sorted(index[t] for t in step(s))) for s in self.states)
         return positions(self.succ), positions(self.pre)
+
+    @cached_property
+    def pi(self):
+        """Pi, all ordered pairs of states with the same output label, as a
+        PairRelation.  Built once per machine; ``fixpoint.compute_pi`` and
+        the recursions seeded or bounded by Pi read it."""
+        by_label = {}
+        for s in self.states:
+            by_label.setdefault(self.label[s], []).append(s)
+        rel = PairRelation(self.universe)
+        for group in by_label.values():
+            rel = rel | product_relation(self.universe, group, group)
+        return rel
 
     @cached_property
     def succ_by_label(self):

@@ -2,7 +2,7 @@ import pytest
 
 from fsmdiag import (
     Estimator, Fsm, InconsistentObservationError, UsageError, check,
-    crossing_index, enumerate_executions, observe,
+    crossing_index, diagnoser, enumerate_executions, observe,
 )
 
 
@@ -140,6 +140,27 @@ def test_long_critical_stream_events():
         expected.append((est.k, (lo, hi)))
     assert len(expected) < est.k - est.threshold  # some windows were dropped
     assert [(e.detected_at, e.window) for e in events] == expected
+
+
+def test_memo_cap_keeps_events(m1, m1_verdict, monkeypatch):
+    # b a b c is the walk 2 3 4 6 repeated, which enters state 3 each
+    # period; clearing the memo tables at every new entry changes no event
+    symbols = "b a b c".split() * 2500
+
+    def run(cap):
+        monkeypatch.setattr(diagnoser, "MEMO_CAP", cap)
+        est = Estimator(m1, m1_verdict)
+        events = []
+        for y in symbols:
+            ev = est.step(y)
+            if ev:
+                events.append(ev)
+            assert max(map(len, (est._advanced, est._narrowed, est._sets))) <= cap
+        return events
+
+    events = run(diagnoser.MEMO_CAP)
+    assert len(events) == 2500
+    assert run(1) == events
 
 
 def detection_sweep(m, verdict, max_len):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from fsmdiag import (
     Analysis, BudgetExceededError, DiagParams, DiagVerdict, Estimator, Fsm, Horizon,
     InconsistentObservationError, PairRelation, PreconditionError, PropertyKind, UsageError,
-    build_restricted, check, check_definition, desilent, enum_relation,
+    build_restricted, check, check_definition, desilent, diagnoser, enum_relation,
     enumerate_executions, execution_image, fsm_to_text, is_execution, max_silent_length,
     output_of, parse_fsm, product_relation, validate,
 )
@@ -361,62 +362,73 @@ def test_verdict_shape(m):
 
 
 @given(machines(max_states=7), st.integers(0, 5),
-       st.lists(st.integers(0, 3), min_size=1, max_size=12), st.data())
+       st.lists(st.integers(0, 3), min_size=1, max_size=12),
+       st.one_of(st.none(), st.integers(1, 4)), st.data())
 @settings(COMMON, max_examples=200)
-def test_estimate_is_exact(m, lag, picks, data):
+def test_estimate_is_exact(m, lag, picks, cap, data):
     # at step k the estimate is {x[k - lag] : x an execution from the initial
     # set whose outputs are the stream so far}, clamped to step 1 while
     # k <= lag; the last lag + 1 states of those executions decide it.  A
     # rejected symbol leaves the session as if it had never been sent.  Most
     # symbols are the output of a possible next state, the rest (pick 0) any
-    # of a, b and the unknown z.
+    # of a, b and the unknown z.  A small memo cap clears the estimator's
+    # tables mid-stream; None keeps the default cap.
     verdict = DiagVerdict(PropertyKind.EVENTUAL, True,
                           params=DiagParams(0, lag, None, 0, 0),
                           bfgl=(1, lag + 1, 1, 1))
-    est = Estimator(m, verdict)
-    tails, k = {()}, 0
-    for pick in picks:
-        moves = [(t, u) for t in tails for u in (m.succ(t[-1]) if t else m.initial)]
-        y = data.draw(st.sampled_from(sorted({m.label[u] for _, u in moves}) if pick else "abz"))
-        nxt = {(t + (u,))[-(lag + 1):] for t, u in moves if m.label[u] == y}
-        if nxt:
-            est.step(y)
-            tails, k = nxt, k + 1
-        else:
-            error = UsageError if y not in m.outputs else InconsistentObservationError
-            with pytest.raises(error):
+    with mock.patch.object(diagnoser, "MEMO_CAP", cap or diagnoser.MEMO_CAP):
+        est = Estimator(m, verdict)
+        tails, k = {()}, 0
+        for pick in picks:
+            moves = [(t, u) for t in tails for u in (m.succ(t[-1]) if t else m.initial)]
+            y = data.draw(st.sampled_from(sorted({m.label[u] for _, u in moves})
+                                          if pick else "abz"))
+            nxt = {(t + (u,))[-(lag + 1):] for t, u in moves if m.label[u] == y}
+            if nxt:
                 est.step(y)
-        assert est.k == k
-        if k:
-            assert est.current_estimate() == {t[0] for t in tails}
-
-
-@given(machines(allow_silent=True))
-@COMMON
-def test_desilent_language_preserved(m):
-    assume(validate(m, "desilent").ok)
-    assume(m.silent_states)
-    result = desilent(m)
-    assert not result.m_hat.silent_states
-    assert output_language(m, 5) == output_language(result.m_hat, 5)
+                tails, k = nxt, k + 1
+            else:
+                error = UsageError if y not in m.outputs else InconsistentObservationError
+                with pytest.raises(error):
+                    est.step(y)
+            assert est.k == k
+            if k:
+                assert est.current_estimate() == {t[0] for t in tails}
 
 
 @st.composite
-def removable_machines(draw, max_states=6):
-    """Machines valid for desilent, many with mixed silent states (a silent
-    and a non-silent successor): state 0 and every initial state speak, every
-    state draws two or three successors, and silent-to-silent transitions only
-    go up in state order, so no silent run is a cycle."""
+def removable_machines(draw, max_states=6, min_succ=2, live=False):
+    """Machines valid for desilent by construction, with at least one silent
+    state: state 0 and every initial state speak, some other state is
+    silent, every state draws min_succ to three successors, and
+    silent-to-silent transitions only go up in state order, so no silent run
+    is a cycle.  With two or more successors drawn, many silent states are
+    mixed (a silent and a non-silent successor).  If ``live``, a silent
+    state whose drawn successors were all dropped steps to state 0, so every
+    state has a successor."""
     n = draw(st.integers(3, max_states))
     states = [str(i) for i in range(n)]
     label = {s: draw(st.sampled_from("ab__")) for s in states}
     label["0"] = "a"
+    label[draw(st.sampled_from(states[1:]))] = "_"
     initial = {"0"} | {s for s in draw(st.sets(st.sampled_from(states))) if label[s] != "_"}
     trans = {(s, t) for s in states
-             for t in draw(st.sets(st.sampled_from(states), min_size=2, max_size=3))
+             for t in draw(st.sets(st.sampled_from(states), min_size=min_succ, max_size=3))
              if not (label[s] == label[t] == "_" and int(t) <= int(s))}
+    if live:
+        trans |= {(s, "0") for s in set(states) - {a for a, _ in trans}}
     critical = draw(st.sets(st.sampled_from(states), max_size=n - 1))
     return Fsm(states, initial, label, trans, critical)
+
+
+@given(removable_machines(max_states=5, min_succ=1, live=True))
+@COMMON
+def test_desilent_language_preserved(m):
+    assert validate(m, "desilent").ok
+    assert m.silent_states
+    result = desilent(m)
+    assert not result.m_hat.silent_states
+    assert output_language(m, 5) == output_language(result.m_hat, 5)
 
 
 def assert_images_of_executions(m):
@@ -455,11 +467,11 @@ def assert_images_of_executions(m):
                 [any(s in m.critical for s in seg) for seg in segments]
 
 
-@given(machines(allow_silent=True))
+@given(removable_machines(max_states=5, min_succ=1))
 @COMMON
 def test_desilent_maps_every_execution(m):
-    assume(validate(m, "desilent").ok)
-    assume(m.silent_states)
+    assert validate(m, "desilent").ok
+    assert m.silent_states
     assert_images_of_executions(m)
 
 
@@ -470,10 +482,10 @@ def test_desilent_maps_every_execution_through_mixed_states(m):
     assert_images_of_executions(m)
 
 
-@given(machines(allow_silent=True))
+@given(removable_machines(max_states=5, min_succ=1))
 @COMMON
 def test_silent_runs_match_enumeration(m):
-    assume(validate(m, "desilent").ok)
+    assert validate(m, "desilent").ok
     lam = max_silent_length(m)
     for w in m.states:
         if m.is_silent(w):

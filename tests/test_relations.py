@@ -91,8 +91,12 @@ def test_iteration_and_repr():
 
 
 @pytest.mark.parametrize("bits", [0, 1, 0b1011000, 2 ** 200 + 2 ** 64 + 5,
-                                  (1 << 10_000) - 1])
+                                  (1 << 10_000) - 1, 1 << 9_999,
+                                  (1 << 9_998) | (1 << 6_400) | (1 << 4_096) | (1 << 63) | 1,
+                                  int("10" * 5_000, 2)])
 def test_bit_helpers(bits):
+    # sparse integers (few set bits for their length) and dense ones are
+    # decoded differently; both must match plain enumeration
     indices = [i for i in range(bits.bit_length()) if bits >> i & 1]
     assert bit_indices(bits) == indices
     flags = bit_flags(bits, 10_001)
