@@ -9,8 +9,7 @@ from .epsremoval import (SilentRemovalResult, desilent, execution_image,
 from .errors import (BudgetExceededError, FsmDiagError,
                      InconsistentObservationError, ParseError,
                      PreconditionError, UsageError)
-from .fixpoint import (b_series, compute_pi, f_series, gamma_series,
-                       lambda_series, s_series)
+from .fixpoint import b_series, f_series, gamma_series, lambda_series, s_series
 from .model import (EPSILON, Fsm, ValidationReport, Violation,
                     build_restricted, crossing_index, enumerate_executions,
                     fsm_to_text, is_execution, load_fsm, output_of, parse_fsm,

@@ -2,11 +2,12 @@
 
 Every property reduces to an emptiness or inclusion test between the fixed
 points computed in :mod:`fsmdiag.fixpoint`.  When it fails, the smallest
-violating state pair is reported.  When it holds, one scan over the step
+violating state pair is reported.  When it holds, the Pareto-minimal step
 indices (b, f, g, l) of the backward (B or B~), forward (F), backward-masking
-(Gamma) and forward-masking (Lambda) recursions finds the Pareto-minimal
-tuples at which the property's fixed relation meets no step; a series the
-property does not use stands at index 1.  One formula reads the parameters
+(Gamma) and forward-masking (Lambda) recursions at which the property's
+fixed relation meets no step are read off the step at which each of its
+pairs leaves each series, with no step built; a series the property does
+not use stands at index 1.  One formula reads the parameters
 (transient tau, delay delta, uncertainties gamma1/gamma2) off a tuple:
 
     tau = max(b, g) - 1            delta = max(f, l) - 1
@@ -21,12 +22,13 @@ their parameters.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 from .errors import UsageError
-from .fixpoint import b_series, compute_pi, f_series, gamma_series, lambda_series, s_series
+from .fixpoint import b_series, f_series, gamma_series, lambda_series, s_series
 from .model import Fsm, build_restricted, validate
 from .relations import PairRelation, product_relation, same_block
 
@@ -120,9 +122,9 @@ class Analysis:
         validate(m, "analysis").require()
         self.m = m
 
-    @cached_property
+    @property
     def pi(self):
-        return compute_pi(self.m)
+        return self.m.pi
 
     @cached_property
     def restricted(self):
@@ -171,45 +173,43 @@ def _witness(rel: PairRelation, name: str):
     return ((rel.universe.states[i], rel.universe.states[j]), name)
 
 
-def _pareto_min(tuples):
-    out = []
-    for t in tuples:
-        if any(all(o[i] <= t[i] for i in range(len(t))) for o in out):
-            continue
-        out = [o for o in out if not all(t[i] <= o[i] for i in range(len(t)))]
-        out.append(t)
-    return tuple(sorted(out))
+def _pareto_min(tuples: set) -> set:
+    """The tuples that no other one of ``tuples`` is below in every index."""
+    return {t for t in tuples if not any(o != t and all(map(operator.le, o, t)) for o in tuples)}
 
 
 def _frontier(fixed: PairRelation, b=None, f=None, g=None, l=None) -> tuple:
-    """Sorted Pareto-minimal tuples (b, f, g, l), each index in
-    1..convergence_step of its series, at which ``fixed`` intersected with
-    that step of every given series is empty.  An absent series stands at
-    index 1, as one step holding every pair (bits -1).
+    """Sorted Pareto-minimal tuples (b, f, g, l) at which ``fixed``
+    intersected with that step of every given series is empty.  An absent
+    series stands at index 1.
 
-    Every scanned series shrinks, so emptiness is upward closed in each
-    index: once the indices up to some level give an empty intersection,
-    they do with any larger index at that level and at every deeper level.
-    So each level stops at its first empty intersection and records the
-    tuple padded with 1s, which dominates every tuple it skips, and
-    ``_pareto_min`` of the result is unchanged.  Each series is iterated
-    once, every step rebuilt from the one before by its layer and kept as a
-    bitset while the scan runs.
+    A pair of ``fixed`` outside the first step of a given series meets no
+    tuple.  Any other pair meets a tuple unless the tuple reaches, on some
+    coordinate, the step at which the pair leaves that series
+    (``FixpointSeries.removal_steps``), so a pair no series removes meets
+    every tuple and leaves no frontier.  The frontier is thus the minimal
+    tuples reaching a coordinate of every pair's removal vector: starting
+    from (1, 1, 1, 1), each distinct vector in turn replaces every tuple
+    that misses it by that tuple raised to each of its coordinates, and the
+    minimal tuples are kept.  No step of any series is built.
     """
-    steps = [[-1] if s is None else [rel.bits for rel in s] for s in (b, f, g, l)]
-    found = []
-
-    def scan(bits, prefix):
-        for k, rel in enumerate(steps[len(prefix)], 1):
-            meet = bits & rel
-            if not meet:
-                found.append((*prefix, k, 1, 1, 1)[:4])
-                return
-            if len(prefix) < 3:
-                scan(meet, prefix + (k,))
-
-    scan(fixed.bits, ())
-    return _pareto_min(found)
+    given = [(c, s) for c, s in enumerate((b, f, g, l)) if s is not None]
+    rel = fixed
+    for _, s in given:
+        rel &= s.first
+    vectors = {}
+    for c, s in given:
+        for p, k in s.removal_steps(rel).items():
+            vectors.setdefault(p, []).append((c, k))
+    if len(vectors) < len(rel):
+        return ()
+    found = {(1, 1, 1, 1)}
+    for v in set(map(tuple, vectors.values())):
+        missed = {t for t in found if all(t[c] < k for c, k in v)}
+        if missed:
+            found = _pareto_min(found - missed | {t[:c] + (k,) + t[c + 1:]
+                                                  for t in missed for c, k in v})
+    return tuple(sorted(found))
 
 
 def _params(kind: PropertyKind, t) -> DiagParams:
@@ -260,16 +260,20 @@ def check_diag(a: Analysis) -> DiagVerdict:
 
 def check_eventual(a: Analysis) -> DiagVerdict:
     """Detection of every crossing occurring after a finite transient."""
-    # headline parameters are taken at the converged backward/forward indices,
-    # minimizing only the uncertainty indices; smaller b or f would shrink the
-    # claimed transient below what the detection argument supports.  Every
-    # frontier tuple has b <= b* and f <= f*, so the (g, l) that work at
-    # (b*, f*) are exactly those above some frontier tuple's (g, l).
+    # headline parameters are taken at b* and f*, the last steps at which B
+    # and F remove a pair of S*, minimizing only the uncertainty indices;
+    # smaller b or f would shrink the claimed transient below what the
+    # detection argument supports.  B is seeded with S*, so b* is its
+    # convergence step; F runs over all of Pi, and pairs outside S*, which no
+    # two executions reach together, must not move f*.  Every frontier tuple
+    # has b <= b* and f <= f*, so the (g, l) that work at (b*, f*) are
+    # exactly those above some frontier tuple's (g, l).
     return _verdict(PropertyKind.EVENTUAL, a.gam.fixed_point & a.lam.fixed_point,
                     "backward-maskable and forward-maskable",
                     lambda: _frontier(PairRelation.full(a.m.universe),
                                       b=a.b, f=a.f, g=a.gam, l=a.lam),
-                    pin=lambda: (a.b.convergence_step, a.f.convergence_step))
+                    pin=lambda: (a.b.convergence_step,
+                                 max(a.f.removal_steps(a.s.fixed_point).values(), default=1)))
 
 
 def check_critical(a: Analysis) -> DiagVerdict:
@@ -292,7 +296,7 @@ def check_eventual_obs(a: Analysis) -> DiagVerdict:
     """Zero-delay detection of crossings after a transient."""
     return _verdict(PropertyKind.EVENTUAL_OBS, a.b.fixed_point - a.block,
                     "backward-indistinguishable mixed pair",
-                    lambda: _frontier(a.pi & a.lam.first, b=a.b, g=a.gam))
+                    lambda: _frontier(a.lam.first, b=a.b, g=a.gam))
 
 
 def check_exact_step(a: Analysis) -> DiagVerdict:

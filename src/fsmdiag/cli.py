@@ -129,7 +129,9 @@ def cmd_validate(args):
     return 0 if report.ok else 1
 
 
-_SETS = ("Pi", "S", "Stilde", "F", "B", "Lambda", "Gamma")
+#: the relations ``sets`` prints, each with the ``Analysis`` attribute holding it
+_SETS = {"Pi": "pi", "S": "s", "Stilde": "s_tilde", "F": "f", "B": "b",
+         "Lambda": "lam", "Gamma": "gam"}
 
 
 def _sets_lines(payload):
@@ -145,19 +147,16 @@ def _sets_lines(payload):
 def cmd_sets(args):
     m = _load(args)
     a = Analysis(m)
-    wanted = [args.set] if args.set else list(_SETS)
     payload = {}
-    for name in wanted:
+    for name in [args.set] if args.set else _SETS:
         if name == "Pi":
-            series = None
-            fp, conv = a.pi, None
+            entry = {"fixed_point": a.pi.pairs(), "convergence_step": None}
         else:
-            series = {"S": a.s, "Stilde": a.s_tilde, "F": a.f, "B": a.b,
-                      "Lambda": a.lam, "Gamma": a.gam}[name]
-            fp, conv = series.fixed_point, series.convergence_step
-        entry = {"fixed_point": fp.pairs(), "convergence_step": conv}
-        if args.steps and series is not None:
-            entry["steps"] = [rel.pairs() for rel in series]
+            series = getattr(a, _SETS[name])
+            entry = {"fixed_point": series.fixed_point.pairs(),
+                     "convergence_step": series.convergence_step}
+            if args.steps:
+                entry["steps"] = [rel.pairs() for rel in series]
         payload[name] = entry
     _emit(args, payload, _sets_lines(payload))
     return 0

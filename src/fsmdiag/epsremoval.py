@@ -178,38 +178,37 @@ def desilent(m: Fsm) -> SilentRemovalResult:
 
 
 def execution_image(result: SilentRemovalResult, m: Fsm, x) -> tuple:
-    """Map an execution of the original machine to its counterpart in the
-    rewritten one.  Trailing silent states contribute no output and are
-    ignored; the execution must start non-silent and every folded run must
-    correspond to a surviving state."""
+    """Map an execution of the original machine, which must start
+    non-silent, to its counterpart in the rewritten one: one state per
+    block, a non-silent state u and the silent run after it.
+
+    A block with an empty run maps to u.  A finished run maps to the fresh
+    state that folds it, flagged when the block touched the critical set.
+    The last block's run may be unfinished.  It is dropped, as it gives no
+    output, when it touched no critical state and u survived the rewrite.
+    Otherwise the block maps to the least surviving fresh state of a run
+    that continues it, flagged whenever the block touched the critical set.
+    A block with no surviving image raises UsageError.
+    """
     x = tuple(x)
     if not x or any(s not in m.label for s in x):
         raise UsageError("not an execution of the original machine")
-    while x and m.is_silent(x[-1]):
-        x = x[:-1]
-    if not x:
-        raise UsageError("execution is entirely silent")
     if m.is_silent(x[0]):
         raise UsageError("execution starts in a silent state")
     lookup = {key: name for name, key in result.provenance.items()}
+    starts = [i for i, s in enumerate(x) if not m.is_silent(s)] + [len(x)]
     out = []
-    i = 0
-    while i < len(x):
-        u = x[i]
-        j = i + 1
-        run = []
-        while j < len(x) and m.is_silent(x[j]):
-            run.append(x[j])
-            j += 1
-        if run:
-            crossed = u in m.critical or any(s in m.critical for s in run)
-            name = lookup.get((run[-1], u, crossed))
-            if name is None:
-                raise UsageError("silent run %s has no surviving image" % (run,))
-            out.append(name)
-        else:
-            if u not in result.m_hat.label:
-                raise UsageError("state %s did not survive the rewrite" % u)
+    for i, j in zip(starts, starts[1:]):
+        u, run, last = x[i], x[i + 1:j], j == len(x)
+        if u in result.m_hat.label and not (run and (not last or m.critical.intersection(run))):
             out.append(u)
-        i = j
+            continue
+        crossed = any(s in m.critical for s in x[i:j])
+        keys = [(x[j - 1], u, crossed)]
+        if last:
+            keys += [(q, u, crossed or c) for q, c in silent_runs(m, x[j - 1])]
+        names = [lookup[k] for k in sorted(keys) if k in lookup]
+        if not names:
+            raise UsageError("%s has no surviving image" % (" ".join(x[i:j]),))
+        out.append(names[0])
     return tuple(out)

@@ -16,11 +16,10 @@ package:
 All five walk the pair graph, whose nodes are ordered state pairs and whose
 edges join (i, j) to (a, b) for a a neighbour of i and b one of j, over the
 machine's integer adjacency (``Fsm.adjacency``).  Pi, the equal-output
-pairs, is built once per machine (``Fsm.pi``, read by ``compute_pi``) and
-seeds or bounds S, F and B.  ``s_series`` is a worklist; S never leaves Pi,
-so it stops as soon as it holds all of Pi, and when X0 x X0 already covers
-Pi the seed is returned as the fixed point with no layers, without decoding
-a single pair.
+pairs, is built once per machine (``Fsm.pi``) and seeds or bounds S, F and
+B.  ``s_series`` is a worklist; S never leaves Pi, so it stops as soon as it
+holds all of Pi, and when X0 x X0 already covers Pi the seed is returned as
+the fixed point with no layers, without decoding a single pair.
 The four shrinking recursions share one counter engine, ``_shrink``, in the
 manner of AC-4 arc consistency.  Each pair's supports are counted once, as
 the integer matrix C = N . R_1 . N^T (N the 0/1 neighbour matrix), formed a
@@ -43,12 +42,6 @@ from .relations import (
 )
 
 
-def compute_pi(m: Fsm) -> PairRelation:
-    """All ordered pairs of states sharing the same output symbol, built
-    once per machine (``Fsm.pi``)."""
-    return m.pi
-
-
 def s_series(m: Fsm) -> FixpointSeries:
     """Joint forward reachability under equal outputs, seeded at X0 x X0.
 
@@ -59,7 +52,7 @@ def s_series(m: Fsm) -> FixpointSeries:
     already covers Pi, the seed is returned as the fixed point with no
     layers, and no pair is decoded.  Liveness is not required.
     """
-    pi = compute_pi(m)
+    pi = m.pi
     first = product_relation(m.universe, m.initial, m.initial) & pi
     missing = len(pi) - len(first)     # pairs of Pi not in S yet
     if not missing:
@@ -187,12 +180,12 @@ def f_series(m: Fsm) -> FixpointSeries:
         if not m.succ(s):
             raise PreconditionError("state %s has no successor; forward "
                                     "indistinguishability needs liveness" % s)
-    return _shrink(m, compute_pi(m), True)
+    return _shrink(m, m.pi, True)
 
 
 def b_series(m: Fsm, sigma: PairRelation) -> FixpointSeries:
     """Backward indistinguishability confined to the seed relation sigma."""
-    if not sigma.issubset(compute_pi(m)):
+    if not sigma.issubset(m.pi):
         raise UsageError("seed relation must only relate equal-output states")
     if not sigma.is_symmetric():
         raise UsageError("seed relation must be symmetric")

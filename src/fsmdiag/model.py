@@ -119,8 +119,8 @@ class Fsm:
     @cached_property
     def pi(self):
         """Pi, all ordered pairs of states with the same output label, as a
-        PairRelation.  Built once per machine; ``fixpoint.compute_pi`` and
-        the recursions seeded or bounded by Pi read it."""
+        PairRelation.  Built once per machine; the recursions seeded or
+        bounded by Pi and ``Analysis.pi`` read it."""
         by_label = {}
         for s in self.states:
             by_label.setdefault(self.label[s], []).append(s)

@@ -239,6 +239,13 @@ class FixpointSeries:
         """The step at which a nonempty series became empty, if it did."""
         return self.convergence_step if self.first and not self.fixed_point else None
 
+    def removal_steps(self, rel: PairRelation) -> dict:
+        """The step at which each pair of ``rel`` that a layer changes does
+        change, keyed by pair bit index: for a shrinking series, the step at
+        which the pair leaves.  Read off the layers, building no step."""
+        keep = bit_flags(rel.bits, rel.universe.n ** 2)
+        return {p: k for k, layer in enumerate(self.layers, 2) for p in layer if keep[p]}
+
     def at(self, k: int) -> PairRelation:
         """The relation at step k (clamped past convergence), read by
         iterating to it: O(k |X|^2)."""

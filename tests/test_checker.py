@@ -4,7 +4,7 @@ import pytest
 
 from fsmdiag import (
     Analysis, DiagParams, FixpointSeries, Fsm, Horizon, PreconditionError, UsageError,
-    check, check_definition, product_relation, validate,
+    check, check_definition, observe, product_relation, validate,
 )
 from fsmdiag.checker import PropertyKind
 from fsmdiag.fixpoint import ProjectedSeries
@@ -116,6 +116,20 @@ class TestEventual:
         v = check(fork, "eventual")
         assert not v.holds
         assert v.witness[0] == ("3", "4")
+
+    def test_delay_ignores_a_state_no_execution_reaches(self):
+        # state 9 only adds pairs outside S*, which F removes at step 2
+        m = Fsm("12", "1", {"1": "a", "2": "b"}, [("1", "1"), ("2", "1")], "1")
+        m9 = Fsm("129", "1", {"1": "a", "2": "b", "9": "b"},
+                 [("1", "1"), ("2", "1"), ("9", "2")], "1")
+        assert Analysis(m9).f.convergence_step == 2
+        runs = []
+        for x in (m, m9):
+            v = check(x, "eventual")
+            assert v.bfgl == (1, 1, 1, 1) and v.params.delta == 0
+            _, events = observe(x, v, "aaa")
+            runs.append([(e.detected_at, e.window) for e in events])
+        assert runs[0] == runs[1] == [(1, (1, 1)), (2, (2, 2)), (3, (3, 3))]
 
 
 class TestCritical:
@@ -242,18 +256,21 @@ class TestFrontier:
                 if o != t:
                     assert not all(o[i] <= t[i] for i in range(4))
 
+    @staticmethod
+    def machine(request, name):
+        """m1, or a 60-state machine with every state initial."""
+        if name == "m1":
+            return request.getfixturevalue("m1")
+        rng = random.Random(2)
+        states = ["s%02d" % i for i in range(60)]
+        label = {s: rng.choice("abcdefgh") for s in states}
+        trans = [(s, t) for s in states for t in rng.sample(states, rng.randint(1, 3))]
+        return Fsm(states, states, label, trans, states[:rng.randint(1, 6)])
+
     @pytest.mark.parametrize("machine", ["m1", "random60"])
     def test_series_read_without_step_lookups(self, request, monkeypatch, machine):
-        # the frontier search iterates each series once; it never asks a
-        # series for one step at a time
-        if machine == "m1":
-            m = request.getfixturevalue("m1")
-        else:
-            rng = random.Random(2)
-            states = ["s%02d" % i for i in range(60)]
-            label = {s: rng.choice("abcdefgh") for s in states}
-            trans = [(s, t) for s in states for t in rng.sample(states, rng.randint(1, 3))]
-            m = Fsm(states, states, label, trans, states[:rng.randint(1, 6)])
+        # the frontier search never asks a series for one step at a time
+        m = self.machine(request, machine)
         calls = []
         for cls in (FixpointSeries, ProjectedSeries):
             monkeypatch.setattr(cls, "at", lambda self, k, at=cls.at:
@@ -261,6 +278,19 @@ class TestFrontier:
         holds = [check(m, p).holds for p in ("eventual", "parametric", "diag", "eventual-obs")]
         assert holds == ([True, True, False, False] if machine == "m1" else [True] * 4)
         assert calls == []
+
+    @pytest.mark.parametrize("machine", ["m1", "random60"])
+    def test_frontier_builds_no_step(self, request, monkeypatch, machine):
+        # every frontier is read off the steps at which pairs leave each
+        # series, so no check iterates a series
+        m = self.machine(request, machine)
+        reads = []
+        monkeypatch.setattr(FixpointSeries, "__iter__", lambda self, it=FixpointSeries.__iter__:
+                            reads.append(self) or it(self))
+        a = Analysis(m)
+        verdicts = [check(m, p, a) for p in ALL_PROPERTIES + ("initial-obs",)]
+        assert any(v.holds and v.frontier for v in verdicts)
+        assert reads == []
 
     def test_monotone_inclusion(self, m1):
         # if the condition holds at a frontier tuple, it holds at anything larger

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from fsmdiag import FixpointSeries, cli, load_fsm, max_silent_length, parse_fsm
+from fsmdiag import FixpointSeries, checker, cli, load_fsm, max_silent_length, parse_fsm
 from fsmdiag.cli import main
 from fsmdiag.fixpoint import ProjectedSeries
 from conftest import FIXTURES, fixture_path
@@ -110,6 +110,17 @@ class TestSets:
         code, out, _ = run(capsys, "sets", M1, "--set", "Lambda")
         assert code == 0
         assert "Lambda (converges at 2): (3,5) (5,3)" in out
+
+    @pytest.mark.parametrize("name, built", [("Pi", []), ("S", ["s_series"]),
+                                             ("B", ["s_series", "b_series"])])
+    def test_single_set_builds_only_its_series(self, capsys, monkeypatch, name, built):
+        calls = []
+        for fn in ("s_series", "f_series", "b_series", "lambda_series", "gamma_series"):
+            monkeypatch.setattr(checker, fn, lambda *args, fn=fn, real=getattr(checker, fn):
+                                calls.append(fn) or real(*args))
+        code, out, _ = run(capsys, "sets", M1, "--set", name)
+        assert code == 0 and out.startswith(name)
+        assert calls == built
 
     def test_all_sets_json(self, capsys):
         code, out, _ = run(capsys, "sets", M1, "--json")

@@ -183,7 +183,8 @@ class TestMixedSilentState:
         result = desilent(mixed)
         assert execution_image(result, mixed, "asb") == ("s~a", "b")
         assert execution_image(result, mixed, "astb") == ("t~a+", "b")
-        assert execution_image(result, mixed, "ast") == ("a",)
+        # the run a, s, t has crossed, although it goes on to b
+        assert execution_image(result, mixed, "ast") == ("t~a+",)
 
 
 class TestExecutionImage:
@@ -208,6 +209,29 @@ class TestExecutionImage:
         result = desilent(m)
         assert execution_image(result, m, ["a", "s"]) == ("a",)
         assert execution_image(result, m, ["a", "s", "b"]) == ("s~a", "b")
+
+    def test_unfinished_runs(self):
+        # 4 has only a silent successor, so it does not survive the rewrite
+        m = Fsm("134", "4", {"4": "a", "3": "_", "1": "b"},
+                [("4", "3"), ("3", "1"), ("1", "1")], "3")
+        result = desilent(m)
+        assert set(result.m_hat.states) == {"1", "3~4+"}
+        assert execution_image(result, m, "431") == ("3~4+", "1")
+        assert execution_image(result, m, "43") == ("3~4+",)
+        assert execution_image(result, m, "4") == ("3~4+",)
+
+    def test_unfinished_run_maps_to_the_least_flagged_continuation(self):
+        # the block a, s touched the critical state a; its run goes on to
+        # p or to q, and a itself does not survive
+        m = Fsm("abpqs", "a", {"a": "x", "b": "y", "p": "_", "q": "_", "s": "_"},
+                [("a", "s"), ("s", "p"), ("s", "q"), ("p", "b"), ("q", "b"), ("b", "a")],
+                "a")
+        result = desilent(m)
+        assert set(result.m_hat.states) == {"b", "p~a+", "q~a+"}
+        assert execution_image(result, m, "a") == ("p~a+",)
+        assert execution_image(result, m, "as") == ("p~a+",)
+        assert execution_image(result, m, "asq") == ("q~a+",)
+        assert execution_image(result, m, "asqb") == ("q~a+", "b")
 
     def test_errors(self, silent_machine):
         result = desilent(silent_machine)

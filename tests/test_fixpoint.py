@@ -4,7 +4,7 @@ import pytest
 
 from fsmdiag import (
     Fsm, PairRelation, PreconditionError, Universe, UsageError, b_series,
-    build_restricted, compute_pi, f_series, gamma_series, lambda_series, s_series,
+    build_restricted, f_series, gamma_series, lambda_series, s_series,
 )
 from conftest import sym, theta
 
@@ -17,14 +17,14 @@ def one_output():
 class TestPi:
     def test_m1(self, m1):
         expected = sym([("1", "3"), ("1", "5"), ("3", "5"), ("2", "4")])
-        assert set(compute_pi(m1).pairs()) == expected | theta(m1.states)
+        assert set(m1.pi.pairs()) == expected | theta(m1.states)
 
     def test_single_output(self, one_output):
-        assert compute_pi(one_output) == PairRelation.full(one_output.universe)
+        assert one_output.pi == PairRelation.full(one_output.universe)
 
     def test_all_distinct(self):
         m = Fsm("ab", "a", {"a": "x", "b": "y"}, [("a", "b"), ("b", "a")])
-        assert compute_pi(m) == PairRelation.diagonal(m.universe)
+        assert m.pi == PairRelation.diagonal(m.universe)
 
 
 def reference_grow(m):
@@ -55,7 +55,7 @@ def assert_s_matches_reference(m):
 
 class TestS:
     def test_m1_all_initial(self, m1):
-        assert s_series(m1).fixed_point == compute_pi(m1)
+        assert s_series(m1).fixed_point == m1.pi
 
     def test_m2_single_initial(self, m2_single):
         fp = set(s_series(m2_single).fixed_point.pairs())
@@ -82,7 +82,7 @@ class TestS:
         # outgrow; the restricted machine has the same states and labels
         for m in (m1, build_restricted(m1)):
             s = s_series(m)
-            assert s.first == s.fixed_point == compute_pi(m)
+            assert s.first == s.fixed_point == m.pi
             assert s.convergence_step == 1 and s.layers == []
 
     def test_growing_to_pi_keeps_every_layer(self):
@@ -92,7 +92,7 @@ class TestS:
                 [("1", "2"), ("2", "3"), ("3", "4"), ("4", "1"), ("4", "2")])
         s = assert_s_matches_reference(m)
         assert s.convergence_step == 9
-        assert s.fixed_point == compute_pi(m) == PairRelation.full(m.universe)
+        assert s.fixed_point == m.pi == PairRelation.full(m.universe)
 
 
 class TestF:

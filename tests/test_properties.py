@@ -16,7 +16,7 @@ from fsmdiag import (
     output_of, parse_fsm, product_relation, validate,
 )
 from fsmdiag.epsremoval import silent_runs
-from fsmdiag.fixpoint import _avoid_seed, _shrink, compute_pi, s_series
+from fsmdiag.fixpoint import _avoid_seed, _shrink, s_series
 from test_epsremoval import output_language
 from test_fixpoint import assert_s_matches_reference
 
@@ -148,7 +148,7 @@ def reference_shrink(m, seed, step):
 def test_shrink_matches_synchronous_recursion(m, forward, which, data):
     states = m.states
     if which == "pi":
-        seed = compute_pi(m)
+        seed = m.pi
     elif which == "s_star":
         seed = s_series(m).fixed_point
     elif which == "avoid":
@@ -206,7 +206,7 @@ def test_shrink_counts_wider_than_a_byte(forward, which):
     # (h, h) has up to 20 x 20 supports, more than a byte holds, and most of
     # them leave over the first steps
     m = hub_machine()
-    pi, s_star = compute_pi(m), s_series(m).fixed_point
+    pi, s_star = m.pi, s_series(m).fixed_point
     if which == "pi":
         seed = pi
     elif which == "s_star":
@@ -322,7 +322,11 @@ def test_frontier_and_headline_against_brute_force(m):
         assert v.frontier is None or list(v.frontier) == frontier, prop
         candidates = frontier
         if prop == "eventual":
-            candidates = sorted({(a.b.convergence_step, a.f.convergence_step, g, l)
+            # b* and f*: the steps after which B and F remove no pair of S*
+            s_star = a.s.fixed_point
+            f_star = next(k for k in itertools.count(1)
+                          if a.f.at(k) & s_star == a.f.fixed_point & s_star)
+            candidates = sorted({(a.b.convergence_step, f_star, g, l)
                                  for _, _, g, l in frontier})
         if prop == "eventual-obs":
             assert v.bfgl in frontier
@@ -332,6 +336,20 @@ def test_frontier_and_headline_against_brute_force(m):
                 return (p.tau, p.delta, p.gamma1 + p.gamma2)
             assert v.bfgl == min(candidates, key=rank), prop
         assert v.params == formula(*v.bfgl), prop
+
+
+@given(analysis_machines(max_states=7), st.data())
+@COMMON
+def test_a_state_no_execution_reaches_changes_no_verdict(m, data):
+    # x sorts after every state, is not initial and has no in-edge
+    succs = data.draw(st.sets(st.sampled_from(m.states), min_size=1))
+    mx = Fsm(m.states + ("x",), m.initial, {**m.label, "x": data.draw(st.sampled_from("ab"))},
+             m.trans | {("x", t) for t in succs}, m.critical)
+    for kind in PropertyKind:
+        pair = (m, mx)
+        if kind is PropertyKind.INITIAL_OBS:    # which needs every critical state initial
+            pair = [y.replace(initial=y.initial | y.critical) for y in pair]
+        assert check(pair[0], kind) == check(pair[1], kind), kind
 
 
 @given(analysis_machines(max_states=6, outputs="abc"))
@@ -432,10 +450,12 @@ def test_desilent_language_preserved(m):
 
 
 def assert_images_of_executions(m):
-    """Every execution of m from an initial state, up to 6 states long, maps
-    to an execution of desilent(m) from an initial state with the same
-    outputs, each image state critical exactly when its folded segment
-    touched the critical set."""
+    """Every execution of m from an initial state, up to 6 states long,
+    that some infinite execution extends, maps to an execution of
+    desilent(m) from an initial state with the same outputs.  Each image state stands for one block, a
+    non-silent state and the silent run after it: the image of a finished
+    block is critical exactly when the block touched the critical set, and
+    the image of the last block is critical when it did."""
     # states from which an execution goes on for |X| more states, so forever
     goes_on = set(m.states)
     for _ in m.states:
@@ -450,21 +470,17 @@ def assert_images_of_executions(m):
         assert m.is_silent(q) and not m.is_silent(w)
     for length in range(1, 7):
         for x in enumerate_executions(m, m.initial, length):
-            # execution_image drops trailing silent states; what is left must
-            # go on through a non-silent state, or its last state has no image
-            kept = list(x)
-            while m.is_silent(kept[-1]):
-                kept.pop()
-            if not (m.succ(kept[-1]) & goes_on) - m.silent_states:
+            if x[-1] not in goes_on:    # a prefix of no infinite execution
                 continue
             img = execution_image(result, m, x)
             assert is_execution(mh, img) and img[0] in mh.initial
             assert output_of(mh, img) == output_of(m, x)
-            # the folded segments: each non-silent state and the silent run after it
-            starts = [i for i, s in enumerate(kept) if not m.is_silent(s)]
-            segments = [kept[i:j] for i, j in zip(starts, starts[1:] + [len(kept)])]
-            assert [s in mh.critical for s in img] == \
-                [any(s in m.critical for s in seg) for seg in segments]
+            starts = [i for i, s in enumerate(x) if not m.is_silent(s)]
+            touched = [any(s in m.critical for s in x[i:j])
+                       for i, j in zip(starts, starts[1:] + [len(x)])]
+            critical = [s in mh.critical for s in img]
+            assert critical[:-1] == touched[:-1]
+            assert critical[-1] or not touched[-1]
 
 
 @given(removable_machines(max_states=5, min_succ=1))
