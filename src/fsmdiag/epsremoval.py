@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError, UsageError
-from .model import Fsm, validate
+from .model import Fsm, is_execution, validate
 
 
 def max_silent_length(m: Fsm) -> int:
@@ -188,10 +188,11 @@ def execution_image(result: SilentRemovalResult, m: Fsm, x) -> tuple:
     output, when it touched no critical state and u survived the rewrite.
     Otherwise the block maps to the least surviving fresh state of a run
     that continues it, flagged whenever the block touched the critical set.
-    A block with no surviving image raises UsageError.
+    A sequence that is not an execution of ``m``, and a block with no
+    surviving image, raise UsageError.
     """
     x = tuple(x)
-    if not x or any(s not in m.label for s in x):
+    if not is_execution(m, x):
         raise UsageError("not an execution of the original machine")
     if m.is_silent(x[0]):
         raise UsageError("execution starts in a silent state")

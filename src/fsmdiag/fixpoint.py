@@ -28,11 +28,24 @@ that holds deg^2 for the largest neighbour count deg.  Removals then proceed
 layer by layer, so every pair leaves at the same step as in the synchronous
 recursion while the propagation is O(edges of the pair graph).  Memory is a
 flag byte and a w-byte count per pair.
+
+Lambda and Gamma read only the mixed rectangle (critical x non-critical), so
+they hand it to ``_shrink`` as the pairs they read.  When the pair graph is
+subcritical, with fewer than one equal-label neighbour pair per pair of Pi
+on average (``Fsm.pair_branching``), few pairs are reachable from a few
+pairs.  The engine then searches the cone of the rectangle, counts supports
+there as it visits them and runs the same removal loop on the cone only: a
+cone-of-influence reduction (Clarke, Grumberg & Peled, *Model Checking*,
+1999).  The cone is closed under supports, so every pair of it leaves at
+the same step as in the whole seed.  Otherwise the product is cheaper than
+the search, and the engine runs on the whole seed, as it always does for F
+and B.
 """
 
 from __future__ import annotations
 
 import sys
+from typing import Optional
 
 from .errors import PreconditionError, UsageError
 from .model import Fsm
@@ -85,6 +98,7 @@ def s_series(m: Fsm) -> FixpointSeries:
 
 
 _IS_ZERO = bytes([1]) + bytes(255)          # translation table: 0 -> 1, else -> 0
+_IN_CONE = bytes(2) + bytes([1]) + bytes(253)  # translation table: 2 -> 1, else -> 0
 _FIELD = {1: "B", 2: "H", 4: "I", 8: "Q"}   # memoryview format of a w-byte field
 
 
@@ -105,17 +119,23 @@ def _row_sums(buf, n: int, w: int, nbr) -> bytearray:
     return out
 
 
-def _support_counts(flags: bytearray, n: int, nbr):
-    """Every pair's supports inside R_1 as ``(counts, w)``: the matrix
-    C = N . R_1 . N^T, N the 0/1 neighbour matrix and R_1 given as one flag
-    byte per pair, stored row-major in w-byte fields of the machine's byte
-    order.  w is the least power of two with 256^w > deg^2, deg the largest
-    neighbour count, so no field overflows.  Each product is n * deg big-int
-    additions; the transposes are strided byte slices."""
+def _field_width(nbr) -> int:
+    """w, the least power of two with 256^w > deg^2, deg the largest
+    neighbour count: a w-byte field holds any pair's support count."""
     deg = max(map(len, nbr))
     w = 1
     while deg * deg >> 8 * w:
         w *= 2
+    return w
+
+
+def _support_counts(flags: bytearray, n: int, nbr):
+    """Every pair's supports inside R_1 as ``(counts, w)``: the matrix
+    C = N . R_1 . N^T, N the 0/1 neighbour matrix and R_1 given as one flag
+    byte per pair, stored row-major in w-byte fields of the machine's byte
+    order (w from :func:`_field_width`).  Each product is n * deg big-int
+    additions; the transposes are strided byte slices."""
+    w = _field_width(nbr)
     buf = bytearray(n * n * w)                  # R_1^T
     buf[0 if sys.byteorder == "little" else w - 1::w] = transposed(flags, n)
     half = _row_sums(buf, n, w, nbr)            # N . R_1^T = (R_1 . N^T)^T
@@ -124,7 +144,40 @@ def _support_counts(flags: bytearray, n: int, nbr):
     return _row_sums(buf, n, w, nbr), w
 
 
-def _shrink(m: Fsm, first: PairRelation, forward: bool) -> FixpointSeries:
+def _cone_counts(first: PairRelation, within: PairRelation, n: int, nbr):
+    """The cone of ``within`` cap R_1, the pairs reachable from it along
+    supports (pairs of N(i) x N(j) inside R_1), as ``(flags, counts, w)``:
+    one flag byte per pair, set on the cone, and each cone pair's supports
+    in the w-byte fields of :func:`_support_counts`, 0 off the cone.  A
+    breadth-first search that counts each pair's supports as it visits
+    them, in O(cone x deg^2)."""
+    w = _field_width(nbr)
+    counts = bytearray(n * n * w)
+    count = memoryview(counts).cast(_FIELD[w])
+    flags = bit_flags(first.bits, n * n)        # 1 in R_1, 2 in the cone
+    cone = bit_indices(within.bits & first.bits)
+    for p in cone:
+        flags[p] = 2
+    for p in cone:              # grows while it is read
+        i, j = divmod(p, n)
+        nbr_j = nbr[j]
+        c = 0
+        for a in nbr[i]:
+            row = a * n
+            for b in nbr_j:
+                q = row + b
+                f = flags[q]
+                if f:
+                    c += 1
+                    if f == 1:
+                        flags[q] = 2
+                        cone.append(q)
+        count[p] = c
+    return flags.translate(_IN_CONE), counts, w
+
+
+def _shrink(m: Fsm, first: PairRelation, forward: bool,
+            within: Optional[PairRelation] = None) -> FixpointSeries:
     """Run R_{k+1} = {(i,j) in R_k : (N(i) x N(j)) cap R_k nonempty}, N being
     the successor map if ``forward`` and the predecessor map otherwise.
 
@@ -138,12 +191,27 @@ def _shrink(m: Fsm, first: PairRelation, forward: bool) -> FixpointSeries:
     at step k + 1 exactly when its last support left R_k, as in the
     synchronous recursion, and the propagation costs O(edges of the pair
     graph inside R_1).  Memory is a flag byte and a w-byte count per pair.
+
+    ``within``, if given, holds the pairs the caller reads.  When the pair
+    graph is subcritical (``Fsm.pair_branching`` below 1), so that few pairs
+    are reachable from any given ones, the engine runs on the cone of
+    ``within`` cap R_1 only (:func:`_cone_counts`) and returns the series
+    seeded at R_1 cap cone.  The cone holds every support of its pairs, so each cone
+    pair has the same count, is removed by the same dead pairs in the same
+    order, and leaves at the same step and at the same place in its layer as
+    in the full series; pairs off the cone never touch it.  The two series
+    therefore agree on every pair of ``within``.  Otherwise, and without
+    ``within``, the engine runs on all of R_1.
     """
     succ, pre = m.adjacency
     nbr, back = (succ, pre) if forward else (pre, succ)
     n = m.universe.n
-    alive = bit_flags(first.bits, n * n)
-    counts, w = _support_counts(alive, n, nbr)
+    if within is not None and m.pair_branching < 1:
+        alive, counts, w = _cone_counts(first, within, n, nbr)
+        first = PairRelation(m.universe, flag_bits(alive))
+    else:
+        alive = bit_flags(first.bits, n * n)
+        counts, w = _support_counts(alive, n, nbr)
     unsupported = first.bits
     for k in range(w):          # a field is 0 when each of its bytes is
         unsupported &= flag_bits(counts[k::w].translate(_IS_ZERO))
@@ -208,10 +276,11 @@ def _masking_series(m: Fsm, s_star: PairRelation, forward: bool) -> ProjectedSer
     rectangle (critical x non-critical) and closed symmetrically.  The
     closure is one-to-one there, so a layer is the base layer's mixed pairs
     plus their transposes, and the series ends at the last base layer that
-    touches the rectangle."""
-    base = _shrink(m, _avoid_seed(m, s_star), forward)
+    touches the rectangle.  Only the rectangle is read, so the base series
+    is asked for it as ``within`` and may cover only its cone."""
     mixed = product_relation(m.universe, m.critical,
                              [s for s in m.states if s not in m.critical])
+    base = _shrink(m, _avoid_seed(m, s_star), forward, within=mixed)
     n = m.universe.n
     inside = bit_flags(mixed.bits, n * n)
     layers = [[q for p in layer if inside[p] for q in (p, p % n * n + p // n)]

@@ -9,6 +9,7 @@ silent-state removal pass.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -128,6 +129,18 @@ class Fsm:
         for group in by_label.values():
             rel = rel | product_relation(self.universe, group, group)
         return rel
+
+    @cached_property
+    def pair_branching(self):
+        """The mean number of equal-label successor pairs per pair of Pi,
+        the branching factor of the pair graph inside Pi: sum T(x, y)^2 over
+        |Pi|, T(x, y) being the transitions from an x-labelled to a
+        y-labelled state, and the same for predecessors.  Read off label
+        counts in O(n + transitions) and built once per machine; the shrink
+        engine reads it to choose its path."""
+        label = self.label
+        moves = Counter((label[s], label[t]) for s, t in self.trans)
+        return sum(t * t for t in moves.values()) / len(self.pi)
 
     @cached_property
     def succ_by_label(self):

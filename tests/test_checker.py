@@ -6,6 +6,7 @@ from fsmdiag import (
     Analysis, DiagParams, FixpointSeries, Fsm, Horizon, PreconditionError, UsageError,
     check, check_definition, observe, product_relation, validate,
 )
+from fsmdiag import checker
 from fsmdiag.checker import PropertyKind
 from fsmdiag.fixpoint import ProjectedSeries
 from conftest import random_live_fsm, sym, theta
@@ -144,6 +145,23 @@ class TestCritical:
     def test_empty_critical(self, m2):
         assert check(m2.replace(critical=frozenset()), "critical").holds
 
+    @pytest.mark.parametrize("order", [("diag", "eventual", "critical"),
+                                       ("critical", "diag", "eventual")])
+    def test_composes_the_kept_verdicts(self, monkeypatch, order):
+        # each verdict is decided once per Analysis, so critical composes
+        # diag's and eventual's instead of scanning their frontiers again:
+        # one scan each for diag and eventual, none of its own
+        m = random_live_fsm(random.Random(5), 6, 3)
+        a = Analysis(m)
+        calls = []
+        monkeypatch.setattr(checker, "_frontier", lambda *args, scan=checker._frontier, **kw:
+                            calls.append(args) or scan(*args, **kw))
+        verdicts = {p: check(m, p, a) for p in order}
+        assert all(v.holds for v in verdicts.values())
+        assert len(calls) == 2
+        assert all(check(m, p, a) is v for p, v in verdicts.items())
+        assert len(calls) == 2
+
     def test_conjunction(self, m1, m2, m2_single, fork):
         for m in (m1, m2, m2_single, fork):
             both = check(m, "diag").holds and check(m, "eventual").holds
@@ -151,6 +169,29 @@ class TestCritical:
 
 
 class TestEventualObs:
+    def test_reads_no_forward_masking_series(self, monkeypatch):
+        # Lambda_1 = Gamma_1, so the scan takes its domain from Gamma and
+        # never builds Lambda; the verdict is the one read off Lambda_1
+        calls = []
+        monkeypatch.setattr(checker, "lambda_series", lambda *args, f=checker.lambda_series:
+                            calls.append(args) or f(*args))
+        rng = random.Random(3)
+        holding = 0
+        while holding < 10:
+            m = random_live_fsm(rng, 8, 3)
+            if not validate(m, "analysis").ok:
+                continue
+            v = check(m, "eventual-obs")
+            if not v.holds:
+                continue
+            holding += 1
+            assert calls == []
+            a = Analysis(m)
+            assert v == checker._verdict(PropertyKind.EVENTUAL_OBS, a.b.fixed_point - a.block,
+                                         "backward-indistinguishable mixed pair",
+                                         lambda: checker._frontier(a.lam.first, b=a.b, g=a.gam))
+            calls.clear()
+
     def test_m1_fails(self, m1):
         v = check(m1, "eventual-obs")
         assert not v.holds

@@ -210,6 +210,14 @@ class TestExecutionImage:
         assert execution_image(result, m, ["a", "s"]) == ("a",)
         assert execution_image(result, m, ["a", "s", "b"]) == ("s~a", "b")
 
+    def test_sequence_that_is_not_an_execution(self):
+        # every state exists, but b has no transition to b
+        m = Fsm("abs", "a", {"a": "x", "b": "y", "s": "_"},
+                [("a", "s"), ("s", "b"), ("b", "a"), ("a", "b")])
+        assert not is_execution(m, ["b", "b", "a"])
+        with pytest.raises(UsageError):
+            execution_image(desilent(m), m, ["b", "b", "a"])
+
     def test_unfinished_runs(self):
         # 4 has only a silent successor, so it does not survive the rewrite
         m = Fsm("134", "4", {"4": "a", "3": "_", "1": "b"},

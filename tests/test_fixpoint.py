@@ -6,6 +6,7 @@ from fsmdiag import (
     Fsm, PairRelation, PreconditionError, Universe, UsageError, b_series,
     build_restricted, f_series, gamma_series, lambda_series, s_series,
 )
+from fsmdiag import fixpoint
 from conftest import sym, theta
 
 
@@ -206,6 +207,58 @@ class TestLambdaGamma:
             assert lam.fixed_point.issubset(f.fixed_point & s_star)
             assert gam.fixed_point.issubset(b.fixed_point)
             assert b.fixed_point.issubset(s_star)
+
+
+def ring_machine(labels, steps):
+    """Two states per label, state i labelled labels[i // 2]; state i steps
+    to i + d (mod the state count) for each d in steps[i % 2].  Every state
+    is initial and state 0 is critical."""
+    states = ["s%02d" % i for i in range(2 * len(labels))]
+    n = len(states)
+    label = {s: labels[i // 2] for i, s in enumerate(states)}
+    trans = [(s, states[(i + d) % n]) for i, s in enumerate(states) for d in steps[i % 2]]
+    return Fsm(states, states, label, trans, states[:1])
+
+
+class TestEnginePath:
+    """Lambda and Gamma ask the shrink engine for the mixed rectangle only;
+    it searches that rectangle's cone when the pair graph is subcritical,
+    and F and B always run on all of their seed."""
+
+    @staticmethod
+    def paths(monkeypatch, m):
+        """Which support counter each series ran: "cone" or "product"."""
+        used = []
+        for name in ("_cone_counts", "_support_counts"):
+            monkeypatch.setattr(fixpoint, name, lambda *args, f=getattr(fixpoint, name), name=name:
+                                used.append(name) or f(*args))
+        s_star = s_series(m).fixed_point
+        runs = {"lambda": lambda: lambda_series(m, s_star),
+                "gamma": lambda: gamma_series(m, s_star),
+                "f": lambda: f_series(m), "b": lambda: b_series(m, s_star)}
+        out = {}
+        for key, run in runs.items():
+            used.clear()
+            run()
+            out[key] = {"_cone_counts": "cone", "_support_counts": "product"}[used.pop()]
+            assert not used
+        return out
+
+    def test_eight_labels_below_one_take_the_cone(self, monkeypatch):
+        # each label has 2 states, each state one successor: sum c^2 = 8 * 4,
+        # and the 16 transitions join 16 distinct label pairs once each
+        m = ring_machine("abcdefgh", [(2,), (5,)])
+        assert m.pair_branching == 16 / 32
+        assert self.paths(monkeypatch, m) == {"lambda": "cone", "gamma": "cone",
+                                              "f": "product", "b": "product"}
+
+    def test_three_labels_from_one_take_the_product(self, monkeypatch):
+        # the two states of each label make 3 transitions to the next label
+        # and 1 to the one after: 3^2 + 1^2 per label over 3 * 2^2
+        m = ring_machine("abc", [(2, 3), (2, 3)])
+        assert m.pair_branching == 30 / 12
+        assert self.paths(monkeypatch, m) == {"lambda": "product", "gamma": "product",
+                                              "f": "product", "b": "product"}
 
 
 def test_convergence_bound(m1, m2, m2_single, fork):

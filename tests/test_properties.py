@@ -16,7 +16,8 @@ from fsmdiag import (
     output_of, parse_fsm, product_relation, validate,
 )
 from fsmdiag.epsremoval import silent_runs
-from fsmdiag.fixpoint import _avoid_seed, _shrink, s_series
+from fsmdiag.fixpoint import _avoid_seed, _shrink, gamma_series, lambda_series, s_series
+from fsmdiag.relations import bit_flags
 from test_epsremoval import output_language
 from test_fixpoint import assert_s_matches_reference
 
@@ -243,6 +244,62 @@ def test_masking_series_project_the_avoiding_recursion(m):
             assert set(series.at(k).pairs()) == proj[min(k, len(proj)) - 1]
         assert set(series.fixed_point.pairs()) == proj[-1]
         assert series.emptied_at == (k_star if proj[0] and not proj[-1] else None)
+
+
+def both_ways(m, run):
+    """``run()`` with the shrink engine on its cone path and on its product
+    path, whatever the branching factor of machine ``m`` would select."""
+    out = []
+    for branching in (0.0, 1.0):
+        with mock.patch.dict(m.__dict__, pair_branching=branching):
+            out.append(run())
+    return out
+
+
+def assert_cone_is_the_full_series_there(m, seed, forward, within):
+    cone, full = both_ways(m, lambda: _shrink(m, seed, forward, within))
+    step = m.succ if forward else m.pre
+    assert cone.first.issubset(seed) and cone.first & within == seed & within
+    # the cone holds every support of its pairs
+    for i, j in cone.first:
+        assert all((a, b) in cone.first for a in step(i) for b in step(j) if (a, b) in seed)
+    n = len(m.states)
+    keep = bit_flags(cone.first.bits, n * n)
+    layers = [[p for p in layer if keep[p]] for layer in full.layers]
+    while layers and not layers[-1]:
+        layers.pop()
+    assert cone.layers == layers
+    assert cone.fixed_point == full.fixed_point & cone.first
+
+
+@given(st.one_of([analysis_machines(max_states=7, outputs=o) for o in ("ab", "abcd", "abcdefgh")]),
+       st.data())
+@COMMON
+def test_cone_and_product_paths_agree(m, data):
+    # Lambda and Gamma are the same on either path of the shrink engine
+    s_star = s_series(m).fixed_point
+    cone, product = both_ways(m, lambda: [(s.first, s.fixed_point, s.layers) for s in
+                                          (lambda_series(m, s_star), gamma_series(m, s_star))])
+    assert cone == product
+    # on any seed, the cone series is the full series restricted to the cone
+    seed = data.draw(st.sampled_from([m.pi, _avoid_seed(m, s_star)]))
+    pair = st.tuples(st.sampled_from(m.states), st.sampled_from(m.states))
+    within = PairRelation.from_pairs(m.universe, data.draw(st.sets(pair)))
+    assert_cone_is_the_full_series_there(m, seed, data.draw(st.booleans()), within)
+    # the branching factor is the mean number of equal-label neighbour pairs
+    # per pair of Pi, forward and backward
+    pi = m.pi.pairs()
+    for step in (m.succ, m.pre):
+        total = sum(m.label[a] == m.label[b] for i, j in pi for a in step(i) for b in step(j))
+        assert m.pair_branching == pytest.approx(total / len(pi))
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_cone_counts_wider_than_a_byte(forward):
+    # (h, h) has more supports than a byte holds
+    m = hub_machine()
+    within = PairRelation.from_pairs(m.universe, [("h", "h"), ("s00", "s01")])
+    assert_cone_is_the_full_series_there(m, m.pi, forward, within)
 
 
 @given(analysis_machines(max_states=4), st.integers(1, 5))
