@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property
 from typing import Optional
 
 from .errors import UsageError
@@ -115,9 +115,8 @@ class Analysis:
     """Memoized fixed-point computations for one machine.
 
     All heavy series are computed lazily and at most once, and so is each
-    property's verdict (``verdicts``, filled by the ``check_<name>``
-    functions); the object is immutable from the caller's perspective and
-    safe to share.
+    property's verdict (``verdicts``, filled by :func:`check`); the object
+    is immutable from the caller's perspective and safe to share.
     """
 
     def __init__(self, m: Fsm):
@@ -246,19 +245,6 @@ def _verdict(kind: PropertyKind, bad: PairRelation, why: str, scan, pin=None) ->
                        frontier=frontier if kind.observable else None, bfgl=best)
 
 
-def _kept(check_fn):
-    """``check_fn`` with its verdict kept on the Analysis, so that each
-    property is decided once per machine, whoever asks for it."""
-    @wraps(check_fn)
-    def kept(a: Analysis) -> DiagVerdict:
-        v = a.verdicts.get(check_fn)
-        if v is None:
-            v = a.verdicts[check_fn] = check_fn(a)
-        return v
-    return kept
-
-
-@_kept
 def check_parametric(a: Analysis) -> DiagVerdict:
     """Detection of the first crossing after a transient, with any delay."""
     return _verdict(PropertyKind.PARAMETRIC, a.b_tilde.fixed_point & a.lam.fixed_point,
@@ -267,7 +253,6 @@ def check_parametric(a: Analysis) -> DiagVerdict:
                                       b=a.b_tilde, f=a.f, l=a.lam))
 
 
-@_kept
 def check_diag(a: Analysis) -> DiagVerdict:
     """Detection of the first crossing, with no transient allowance."""
     return _verdict(PropertyKind.DIAG, a.s_tilde.fixed_point & a.lam.fixed_point,
@@ -275,7 +260,6 @@ def check_diag(a: Analysis) -> DiagVerdict:
                     lambda: _frontier(a.s_tilde.fixed_point, f=a.f, l=a.lam))
 
 
-@_kept
 def check_eventual(a: Analysis) -> DiagVerdict:
     """Detection of every crossing occurring after a finite transient."""
     # headline parameters are taken at b* and f*, the last steps at which B
@@ -294,15 +278,14 @@ def check_eventual(a: Analysis) -> DiagVerdict:
                                  max(a.f.removal_steps(a.s.fixed_point).values(), default=1)))
 
 
-@_kept
 def check_critical(a: Analysis) -> DiagVerdict:
     """Detection of every crossing with no transient allowance: the
     conjunction of the first-crossing and eventual properties."""
     kind = PropertyKind.CRITICAL
-    dg = check_diag(a)
+    dg = check(a.m, "diag", a)
     if not dg.holds:
         return DiagVerdict(kind, False, witness=dg.witness)
-    ev = check_eventual(a)
+    ev = check(a.m, "eventual", a)
     if not ev.holds:
         return DiagVerdict(kind, False, witness=ev.witness)
     tau_e, d_e, g1_e = ev.params.tau, ev.params.delta, ev.params.gamma1
@@ -311,7 +294,6 @@ def check_critical(a: Analysis) -> DiagVerdict:
     return DiagVerdict(kind, True, params=params, frontier=ev.frontier, bfgl=ev.bfgl)
 
 
-@_kept
 def check_eventual_obs(a: Analysis) -> DiagVerdict:
     """Zero-delay detection of crossings after a transient."""
     return _verdict(PropertyKind.EVENTUAL_OBS, a.b.fixed_point - a.block,
@@ -319,7 +301,6 @@ def check_eventual_obs(a: Analysis) -> DiagVerdict:
                     lambda: _frontier(a.gam.first, b=a.b, g=a.gam))
 
 
-@_kept
 def check_exact_step(a: Analysis) -> DiagVerdict:
     """Eventual detection that pins down the exact crossing step."""
     return _verdict(PropertyKind.EXACT_STEP, (a.b.fixed_point & a.f.fixed_point) - a.block,
@@ -327,7 +308,6 @@ def check_exact_step(a: Analysis) -> DiagVerdict:
                     lambda: _frontier(a.block.complement(), b=a.b, f=a.f))
 
 
-@_kept
 def check_initial_obs(a: Analysis) -> DiagVerdict:
     """Exact decision about the critical set from the first observation."""
     if not a.m.critical <= a.m.initial:
@@ -339,7 +319,6 @@ def check_initial_obs(a: Analysis) -> DiagVerdict:
                     lambda: _frontier(mixed_init, f=a.f))
 
 
-@_kept
 def check_critical_obs(a: Analysis) -> DiagVerdict:
     """Zero-delay, zero-transient decision at every step."""
     # no series: the property holds at indices (1, 1, 1, 1)
@@ -349,6 +328,11 @@ def check_critical_obs(a: Analysis) -> DiagVerdict:
 
 def check(m: Fsm, prop: PropertyKind, analysis: Optional[Analysis] = None) -> DiagVerdict:
     """The verdict of ``prop`` on ``m``, read from ``analysis`` if given and
-    from a fresh ``Analysis(m)`` otherwise."""
+    from a fresh ``Analysis(m)`` otherwise.  Each verdict is decided once
+    per Analysis and kept there, whoever asks for it."""
     kind = PropertyKind.parse(prop)
-    return globals()["check_" + kind.name.lower()](analysis or Analysis(m))
+    a = analysis or Analysis(m)
+    v = a.verdicts.get(kind)
+    if v is None:
+        v = a.verdicts[kind] = globals()["check_" + kind.name.lower()](a)
+    return v
