@@ -22,33 +22,54 @@ symbol), and the backward narrowing, (older set, later set) -> the states
 of the older set with a successor in the later one.  Each is a pure
 function of its key, so a hit gives what recomputing would, and events and
 windows stay exact; a stream that revisits a few sets pays for each step
-once.  Every set the tables hand out is interned in a third table, so
+once.  Every set the two caches hand out is interned through a third, so
 equal sets are stored once and later lookups match them by identity.  The
 unknown-symbol check runs before any lookup, and a rejected symbol leaves
-the window as it was.  A table that reaches ``MEMO_CAP`` entries is cleared
-wholesale before the next entry goes in, so none grows past the cap; the
-tables die with the session.
+the window as it was.  The caches are ``functools.lru_cache`` wrappers of
+``MEMO_CAP`` entries each over module-level functions, so the least
+recently used entry goes first, ``cache_info()`` reports a session's hits
+and misses, and the caches die with the session.  They hold the machine's
+indexes but not the ``Estimator``, so a finished session is freed without
+waiting for the cycle collector.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 from .checker import DiagVerdict, PropertyKind
 from .errors import InconsistentObservationError, UsageError
 from .model import Fsm
 
 
-#: Entries each memo table of a session holds before it is cleared.
+#: Entries each memo cache of a session holds before it evicts one.
 MEMO_CAP = 1024
 
 
-def _remember(table: dict, key, value):
-    if len(table) >= MEMO_CAP:
-        table.clear()
-    table[key] = value
-    return value
+def _advance(succ_by_label, interned, prev: frozenset, y) -> tuple:
+    """The forward step from ``prev`` on ``y``: the states of ``prev`` with
+    a ``y``-successor, and those successors."""
+    keep, cur = [], set()
+    for s in prev:
+        after = succ_by_label[s].get(y)
+        if after:
+            keep.append(s)
+            cur |= after
+    keep = prev if len(keep) == len(prev) else interned(frozenset(keep))
+    return keep, interned(frozenset(cur))
+
+
+def _narrow(succ, interned, older: frozenset, later: frozenset) -> frozenset:
+    """The states of ``older`` with a successor in ``later``."""
+    narrowed = frozenset(s for s in older if not succ(s).isdisjoint(later))
+    return older if len(narrowed) == len(older) else interned(narrowed)
+
+
+def _itself(states: frozenset) -> frozenset:
+    """``states``; behind a cache, the session's one object for that set."""
+    return states
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,9 +101,11 @@ class Estimator:
         # state sets at steps k - d .. k, each narrowed by the whole stream
         self._window = deque(maxlen=self.lag + 1)
         self._done = False
-        self._advanced = {}     # (set, symbol) -> (states kept, image)
-        self._narrowed = {}     # (older set, later set) -> narrowed older set
-        self._sets = {}         # each set the tables hold, to itself
+        # the caches close over the machine's indexes, never over self
+        self._interned = lru_cache(MEMO_CAP)(_itself)
+        self._advance = lru_cache(MEMO_CAP)(
+            partial(_advance, m.succ_by_label, self._interned))
+        self._narrow = lru_cache(MEMO_CAP)(partial(_narrow, m.succ, self._interned))
 
     def step(self, y) -> "DiagnosisEvent | None":
         """Consume one output symbol; return a detection event, if any."""
@@ -94,10 +117,7 @@ class Estimator:
             cur = frozenset(s for s in self.m.initial if self.m.label[s] == y)
         else:
             prev = window[-1]
-            try:
-                keep, cur = self._advanced[prev, y]
-            except KeyError:
-                keep, cur = self._advance(prev, y)
+            keep, cur = self._advance(prev, y)
         if not cur:
             raise InconsistentObservationError(
                 "no execution of the machine produces this output stream")
@@ -110,10 +130,7 @@ class Estimator:
             later = window[-2] = keep
             for i in range(len(window) - 3, -1, -1):
                 older = window[i]
-                try:
-                    narrowed = self._narrowed[older, later]
-                except KeyError:
-                    narrowed = self._narrow(older, later)
+                narrowed = self._narrow(older, later)
                 if len(narrowed) == len(older):
                     break
                 window[i] = later = narrowed
@@ -139,32 +156,6 @@ class Estimator:
         if self.one_shot:
             self._done = True
         return event
-
-    def _advance(self, prev: frozenset, y) -> tuple:
-        """The forward step from ``prev`` on ``y``, computed and memoized."""
-        keep, cur = [], set()
-        index = self.m.succ_by_label
-        for s in prev:
-            after = index[s].get(y)
-            if after:
-                keep.append(s)
-                cur |= after
-        keep = prev if len(keep) == len(prev) else self._interned(frozenset(keep))
-        return _remember(self._advanced, (prev, y), (keep, self._interned(frozenset(cur))))
-
-    def _narrow(self, older: frozenset, later: frozenset) -> frozenset:
-        """The states of ``older`` with a successor in ``later``, computed
-        and memoized."""
-        succ = self.m.succ
-        narrowed = frozenset(s for s in older if not succ(s).isdisjoint(later))
-        narrowed = older if len(narrowed) == len(older) else self._interned(narrowed)
-        return _remember(self._narrowed, (older, later), narrowed)
-
-    def _interned(self, states: frozenset) -> frozenset:
-        """The session's one object for the set ``states``, so that equal
-        sets are stored once and memo keys match by identity."""
-        known = self._sets.get(states)
-        return known if known is not None else _remember(self._sets, states, states)
 
     def current_estimate(self) -> frozenset:
         """States the machine can be in at step k - d, given everything

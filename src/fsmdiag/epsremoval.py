@@ -132,25 +132,18 @@ def desilent(m: Fsm) -> SilentRemovalResult:
         new[(q, w, crossed)] = _fresh(
             "%s~%s%s" % (q, w, "+" if crossed else ""), used)
 
-    by_entry = {}  # w -> names of fresh states entered through w
-    for (q, w, crossed), name in new.items():
-        by_entry.setdefault(w, []).append(name)
-
-    trans = {(a, b) for (a, b) in m.trans if a not in eps and b not in eps}
-    for (q, w, crossed), name in new.items():
-        for t in m.succ(q) - eps:
-            trans.add((name, t))
-            for other in by_entry.get(t, ()):
-                trans.add((name, other))
-        for p in m.pre(w) - eps:
-            trans.add((p, name))
-
-    states = set(m.states) - eps | set(new.values())
-    label = {s: m.label[s] for s in m.states if s not in eps}
-    for (q, w, crossed), name in new.items():
-        label[name] = m.label[w]
-    initial = m.initial | {n for (q, w, c), n in new.items() if w in m.initial}
-    critical = (m.critical - eps) | {n for (q, w, c), n in new.items() if c}
+    # each non-silent state w is the node (w, w, w in critical), under its own
+    # name; a node (q, w, crossed) speaks w's output and steps from q
+    nodes = {(w, w, w in m.critical): w for w in m.states if w not in eps} | new
+    entered = {}  # w -> names of the nodes entered through w
+    for (q, w, crossed), name in nodes.items():
+        entered.setdefault(w, []).append(name)
+    trans = {(name, v) for (q, w, crossed), name in nodes.items()
+             for t in m.succ(q) - eps for v in entered[t]}
+    states = set(nodes.values())
+    label = {name: m.label[w] for (q, w, crossed), name in nodes.items()}
+    initial = {name for (q, w, crossed), name in nodes.items() if w in m.initial}
+    critical = {name for (q, w, crossed), name in nodes.items() if crossed}
 
     # drop sink states until none remain; dropping one takes a live successor
     # from each predecessor, and those left with none are sinks in turn

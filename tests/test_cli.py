@@ -241,6 +241,22 @@ class TestDesilent:
         else:
             assert (tmp_path / "out.fsm").read_text() == before
 
+    def test_fresh_name_taken_by_a_state(self, capsys, tmp_path):
+        # the run a, s folds into s~a, a name the machine already uses
+        path = tmp_path / "clash.fsm"
+        path.write_text("fsm v1\nstate a output=x init\nstate s output=_\n"
+                        "state b output=y\nstate s~a output=z\n"
+                        "trans a s\ntrans s b\ntrans b a\ntrans s~a s~a\ntrans b s~a\n")
+        out_file, prov_file = tmp_path / "out.fsm", tmp_path / "prov.json"
+        code, out, _ = run(capsys, "desilent", str(path), "--json",
+                           "-o", str(out_file), "--provenance", str(prov_file))
+        assert code == 0
+        mh = load_fsm(out_file)
+        assert mh.states == ("b", "s~a", "s~a'")
+        assert mh.initial == {"s~a'"}
+        assert json.loads(prov_file.read_text()) == {
+            "s~a'": {"q": "s", "w": "a", "crossed": False}}
+
     def test_nothing_left_is_a_precondition_failure(self, capsys, tmp_path):
         path = tmp_path / "dies.fsm"
         path.write_text("fsm v1\nstate a output=x init\nstate s output=_\ntrans a s\n")
@@ -470,6 +486,26 @@ def test_malformed_file_exit_code(capsys, tmp_path, content):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, argv, budget, code, message", [
+    (None, ["oracle", "--property", "eventual", "--horizon", "12"], "5", 3,
+     "resource limit: oracle budget of 5 operations exceeded"),
+    ("fsm v1\n", ["check", "--property", "diag"], None, 2,
+     "error: a machine needs at least one state"),
+    (None, ["oracle", "--property", "eventual", "--horizon", "0"], None, 2,
+     "error: horizon length must be >= 1"),
+], ids=["oracle-budget", "header-only", "zero-horizon"])
+def test_exit_paths(capsys, monkeypatch, tmp_path, text, argv, budget, code, message):
+    # the machine is m1 unless a file text is given
+    path = M1
+    if text is not None:
+        path = tmp_path / "m.fsm"
+        path.write_text(text)
+    if budget is not None:
+        monkeypatch.setenv("FSMDIAG_BUDGET", budget)
+    verb, *rest = argv
+    assert run(capsys, verb, str(path), *rest) == (code, "", message + "\n")
 
 
 @st.composite

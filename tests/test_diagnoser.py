@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from fsmdiag import (
@@ -144,7 +147,7 @@ def test_long_critical_stream_events():
 
 def test_memo_cap_keeps_events(m1, m1_verdict, monkeypatch):
     # b a b c is the walk 2 3 4 6 repeated, which enters state 3 each
-    # period; clearing the memo tables at every new entry changes no event
+    # period; evicting from the memo caches at every new entry changes no event
     symbols = "b a b c".split() * 2500
 
     def run(cap):
@@ -155,12 +158,28 @@ def test_memo_cap_keeps_events(m1, m1_verdict, monkeypatch):
             ev = est.step(y)
             if ev:
                 events.append(ev)
-            assert max(map(len, (est._advanced, est._narrowed, est._sets))) <= cap
+            assert max(c.cache_info().currsize for c in
+                       (est._advance, est._narrow, est._interned)) <= cap
         return events
 
     events = run(diagnoser.MEMO_CAP)
     assert len(events) == 2500
     assert run(1) == events
+
+
+def test_finished_session_is_freed_without_the_cycle_collector(m1, m1_verdict):
+    # the memo caches must not refer back to the session: a cycle would keep
+    # every finished session alive until the cycle collector runs
+    est = Estimator(m1, m1_verdict)
+    for y in "b a b c".split() * 3:
+        est.step(y)
+    session = weakref.ref(est)
+    gc.disable()
+    try:
+        del est
+        assert session() is None
+    finally:
+        gc.enable()
 
 
 def detection_sweep(m, verdict, max_len):

@@ -13,7 +13,7 @@ from fsmdiag import (
     InconsistentObservationError, PairRelation, PreconditionError, PropertyKind, UsageError,
     build_restricted, check, check_definition, desilent, diagnoser, enum_relation,
     enumerate_executions, execution_image, fsm_to_text, is_execution, max_silent_length,
-    output_of, parse_fsm, product_relation, validate,
+    observe, output_of, parse_fsm, product_relation, validate,
 )
 from fsmdiag.epsremoval import silent_runs
 from fsmdiag.fixpoint import _avoid_seed, _shrink, gamma_series, lambda_series, s_series
@@ -395,18 +395,80 @@ def test_frontier_and_headline_against_brute_force(m):
         assert v.params == formula(*v.bfgl), prop
 
 
+def verdict_facts(m):
+    """(holds, params, frontier, bfgl) of every property on m.  initial-obs,
+    which needs every critical state initial, is checked with the critical
+    states made initial."""
+    facts = {}
+    for kind in PropertyKind:
+        mk = m.replace(initial=m.initial | m.critical) if kind is PropertyKind.INITIAL_OBS else m
+        v = check(mk, kind)
+        facts[kind] = (v.holds, v.params, v.frontier, v.bfgl)
+    return facts
+
+
+def with_unreached_state(m, data):
+    """m plus a state x that sorts after every state, is not initial and has
+    no in-edge."""
+    succs = data.draw(st.sets(st.sampled_from(m.states), min_size=1))
+    return Fsm(m.states + ("x",), m.initial, {**m.label, "x": data.draw(st.sampled_from("ab"))},
+               m.trans | {("x", t) for t in succs}, m.critical)
+
+
 @given(analysis_machines(max_states=7), st.data())
 @COMMON
 def test_a_state_no_execution_reaches_changes_no_verdict(m, data):
-    # x sorts after every state, is not initial and has no in-edge
-    succs = data.draw(st.sets(st.sampled_from(m.states), min_size=1))
-    mx = Fsm(m.states + ("x",), m.initial, {**m.label, "x": data.draw(st.sampled_from("ab"))},
-             m.trans | {("x", t) for t in succs}, m.critical)
+    mx = with_unreached_state(m, data)
     for kind in PropertyKind:
         pair = (m, mx)
         if kind is PropertyKind.INITIAL_OBS:    # which needs every critical state initial
             pair = [y.replace(initial=y.initial | y.critical) for y in pair]
         assert check(pair[0], kind) == check(pair[1], kind), kind
+
+
+@given(analysis_machines(max_states=7), st.data(),
+       st.lists(st.integers(0, 5), min_size=1, max_size=30))
+@COMMON
+def test_a_state_no_execution_reaches_changes_no_event(m, data, picks):
+    # the stream is the output of a walk of m, which never enters x
+    mx = with_unreached_state(m, data)
+    walk = [sorted(m.initial)[picks[0] % len(m.initial)]]
+    for pick in picks[1:]:
+        after = sorted(m.succ(walk[-1]))
+        walk.append(after[pick % len(after)])
+    symbols = [m.label[s] for s in walk]
+    for prop in ("parametric", "diag", "eventual", "critical"):
+        v = check(m, prop)
+        if v.holds:
+            assert observe(m, v, symbols)[1] == observe(mx, check(mx, prop), symbols)[1], prop
+
+
+@given(analysis_machines(max_states=7), st.permutations(range(7)))
+@COMMON
+def test_renaming_states_changes_no_verdict(m, perm):
+    # the new names sort in another order, so the pairs get other indices
+    name = {s: "s%d" % p for s, p in zip(m.states, perm)}
+    renamed = Fsm([name[s] for s in m.states], {name[s] for s in m.initial},
+                  {name[s]: y for s, y in m.label.items()},
+                  {(name[a], name[b]) for a, b in m.trans}, {name[s] for s in m.critical})
+    assert verdict_facts(renamed) == verdict_facts(m)
+
+
+@given(analysis_machines(max_states=7), st.data())
+@COMMON
+def test_a_bisimilar_copy_of_a_state_changes_no_verdict(m, data):
+    # x copies s: its label, successors, predecessors and initial and
+    # critical flags; merging x back into s gives m
+    s = data.draw(st.sampled_from(m.states))
+
+    def twins(t):
+        return (t, "x") if t == s else (t,)
+
+    copied = Fsm(m.states + ("x",), m.initial | ({"x"} if s in m.initial else set()),
+                 {**m.label, "x": m.label[s]},
+                 {(a2, b2) for a, b in m.trans for a2 in twins(a) for b2 in twins(b)},
+                 m.critical | ({"x"} if s in m.critical else set()))
+    assert verdict_facts(copied) == verdict_facts(m)
 
 
 @given(analysis_machines(max_states=6, outputs="abc"))
@@ -446,8 +508,8 @@ def test_estimate_is_exact(m, lag, picks, cap, data):
     # k <= lag; the last lag + 1 states of those executions decide it.  A
     # rejected symbol leaves the session as if it had never been sent.  Most
     # symbols are the output of a possible next state, the rest (pick 0) any
-    # of a, b and the unknown z.  A small memo cap clears the estimator's
-    # tables mid-stream; None keeps the default cap.
+    # of a, b and the unknown z.  A small memo cap makes the estimator's
+    # caches evict mid-stream; None keeps the default cap.
     verdict = DiagVerdict(PropertyKind.EVENTUAL, True,
                           params=DiagParams(0, lag, None, 0, 0),
                           bfgl=(1, lag + 1, 1, 1))
@@ -494,6 +556,14 @@ def removable_machines(draw, max_states=6, min_succ=2, live=False):
         trans |= {(s, "0") for s in set(states) - {a for a, _ in trans}}
     critical = draw(st.sets(st.sampled_from(states), max_size=n - 1))
     return Fsm(states, initial, label, trans, critical)
+
+
+@given(machines(max_states=7))
+@COMMON
+def test_desilent_keeps_a_machine_without_silent_states(m):
+    result = desilent(m)
+    assert result.m_hat == m
+    assert result.provenance == {}
 
 
 @given(removable_machines(max_states=5, min_succ=1, live=True))
