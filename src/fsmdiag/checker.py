@@ -30,7 +30,7 @@ from typing import Optional
 from .errors import UsageError
 from .fixpoint import b_series, f_series, gamma_series, lambda_series, s_series
 from .model import Fsm, build_restricted, validate
-from .relations import PairRelation, product_relation, same_block
+from .relations import FixpointSeries, PairRelation, product_relation, same_block
 
 
 class PropertyKind(str, enum.Enum):
@@ -114,15 +114,19 @@ class DiagVerdict:
 class Analysis:
     """Memoized fixed-point computations for one machine.
 
-    All heavy series are computed lazily and at most once, and so is each
-    property's verdict (``verdicts``, filled by :func:`check`); the object
-    is immutable from the caller's perspective and safe to share.
+    Every series is computed lazily, and each of its forms at most once: the
+    whole series (the attributes below) and, for F, B and B~, the view on
+    the cone of the mixed pairs that :meth:`on_mixed` gives the checks that
+    read only those.  Each property's verdict is decided once too
+    (``verdicts``, filled by :func:`check`); the object is immutable from
+    the caller's perspective and safe to share.
     """
 
     def __init__(self, m: Fsm):
         validate(m, "analysis").require()
         self.m = m
         self.verdicts = {}
+        self._views = {}
 
     @property
     def pi(self):
@@ -167,6 +171,33 @@ class Analysis:
     def block(self):
         """Pairs on the same side of the critical set."""
         return same_block(self.m.universe, self.m.critical)
+
+    def on_mixed(self, name: str) -> FixpointSeries:
+        """The series ``name`` ("f", "b" or "b_tilde") as far as a check that
+        reads it on mixed pairs only needs it: the whole series if that is
+        built, and otherwise the series asked for the mixed pairs as
+        ``within``, exact there and possibly only on their cone.  A view
+        whose first relation is the whole seed, as on the engine's product
+        path, is the whole series and is kept as such, so neither form is
+        ever built twice."""
+        if name in self.__dict__:       # where cached_property keeps the whole series
+            return self.__dict__[name]
+        view = self._views.get(name)
+        if view is None:
+            within = self.block.complement()
+            if name == "f":
+                seed, view = self.pi, f_series(self.m, within)
+            elif name == "b":
+                seed = self.s.fixed_point
+                view = b_series(self.m, seed, within)
+            else:
+                seed = self.s_tilde.fixed_point
+                view = b_series(self.restricted, seed, within)
+            if view.first == seed:
+                self.__dict__[name] = view
+            else:
+                self._views[name] = view
+        return view
 
 
 def _witness(rel: PairRelation, name: str):
@@ -245,19 +276,25 @@ def _verdict(kind: PropertyKind, bad: PairRelation, why: str, scan, pin=None) ->
                        frontier=frontier if kind.observable else None, bfgl=best)
 
 
+# Every check but eventual's (and critical's, through it) reads F, B and B~
+# only on pairs of Lambda's or Gamma's first relation or outside ``block``,
+# all of them mixed, so it asks for them through ``Analysis.on_mixed``.
+
+
 def check_parametric(a: Analysis) -> DiagVerdict:
     """Detection of the first crossing after a transient, with any delay."""
-    return _verdict(PropertyKind.PARAMETRIC, a.b_tilde.fixed_point & a.lam.fixed_point,
+    return _verdict(PropertyKind.PARAMETRIC,
+                    a.on_mixed("b_tilde").fixed_point & a.lam.fixed_point,
                     "backward-reachable and forward-maskable",
-                    lambda: _frontier(PairRelation.full(a.m.universe),
-                                      b=a.b_tilde, f=a.f, l=a.lam))
+                    lambda: _frontier(PairRelation.full(a.m.universe), b=a.on_mixed("b_tilde"),
+                                      f=a.on_mixed("f"), l=a.lam))
 
 
 def check_diag(a: Analysis) -> DiagVerdict:
     """Detection of the first crossing, with no transient allowance."""
     return _verdict(PropertyKind.DIAG, a.s_tilde.fixed_point & a.lam.fixed_point,
                     "jointly reachable and forward-maskable",
-                    lambda: _frontier(a.s_tilde.fixed_point, f=a.f, l=a.lam))
+                    lambda: _frontier(a.s_tilde.fixed_point, f=a.on_mixed("f"), l=a.lam))
 
 
 def check_eventual(a: Analysis) -> DiagVerdict:
@@ -296,16 +333,16 @@ def check_critical(a: Analysis) -> DiagVerdict:
 
 def check_eventual_obs(a: Analysis) -> DiagVerdict:
     """Zero-delay detection of crossings after a transient."""
-    return _verdict(PropertyKind.EVENTUAL_OBS, a.b.fixed_point - a.block,
+    return _verdict(PropertyKind.EVENTUAL_OBS, a.on_mixed("b").fixed_point - a.block,
                     "backward-indistinguishable mixed pair",
-                    lambda: _frontier(a.gam.first, b=a.b, g=a.gam))
+                    lambda: _frontier(a.gam.first, b=a.on_mixed("b"), g=a.gam))
 
 
 def check_exact_step(a: Analysis) -> DiagVerdict:
     """Eventual detection that pins down the exact crossing step."""
-    return _verdict(PropertyKind.EXACT_STEP, (a.b.fixed_point & a.f.fixed_point) - a.block,
-                    "persistent mixed pair",
-                    lambda: _frontier(a.block.complement(), b=a.b, f=a.f))
+    b, f = a.on_mixed("b"), a.on_mixed("f")
+    return _verdict(PropertyKind.EXACT_STEP, (b.fixed_point & f.fixed_point) - a.block,
+                    "persistent mixed pair", lambda: _frontier(a.block.complement(), b=b, f=f))
 
 
 def check_initial_obs(a: Analysis) -> DiagVerdict:
@@ -314,9 +351,9 @@ def check_initial_obs(a: Analysis) -> DiagVerdict:
         raise UsageError("initial-state observability requires the critical "
                          "set to consist of initial states")
     mixed_init = product_relation(a.m.universe, a.m.initial, a.m.initial) - a.block
-    return _verdict(PropertyKind.INITIAL_OBS, mixed_init & a.f.fixed_point,
+    return _verdict(PropertyKind.INITIAL_OBS, mixed_init & a.on_mixed("f").fixed_point,
                     "forward-indistinguishable initial mixed pair",
-                    lambda: _frontier(mixed_init, f=a.f))
+                    lambda: _frontier(mixed_init, f=a.on_mixed("f")))
 
 
 def check_critical_obs(a: Analysis) -> DiagVerdict:
@@ -328,9 +365,12 @@ def check_critical_obs(a: Analysis) -> DiagVerdict:
 
 def check(m: Fsm, prop: PropertyKind, analysis: Optional[Analysis] = None) -> DiagVerdict:
     """The verdict of ``prop`` on ``m``, read from ``analysis`` if given and
-    from a fresh ``Analysis(m)`` otherwise.  Each verdict is decided once
-    per Analysis and kept there, whoever asks for it."""
+    from a fresh ``Analysis(m)`` otherwise.  A given ``analysis`` must be of
+    ``m`` or of a machine equal to it; UsageError otherwise.  Each verdict
+    is decided once per Analysis and kept there, whoever asks for it."""
     kind = PropertyKind.parse(prop)
+    if analysis is not None and analysis.m is not m and analysis.m != m:
+        raise UsageError("the analysis given is of another machine")
     a = analysis or Analysis(m)
     v = a.verdicts.get(kind)
     if v is None:

@@ -29,17 +29,22 @@ layer by layer, so every pair leaves at the same step as in the synchronous
 recursion while the propagation is O(edges of the pair graph).  Memory is a
 flag byte and a w-byte count per pair.
 
-Lambda and Gamma read only the mixed rectangle (critical x non-critical), so
-they hand it to ``_shrink`` as the pairs they read.  When the pair graph is
+Every property reads its relations on mixed pairs only (one critical and
+one non-critical state, in either order), except ``eventual``, whose
+parameters are pinned to steps of the whole of F and B, and ``sets``, which
+prints whole series.  So a caller may name the pairs it reads as
+``within``: Lambda and Gamma always pass the mixed rectangle (critical x
+non-critical), and F and B take the mixed pairs when the checker asks for
+them on behalf of a check that reads only those.  When the pair graph is
 subcritical, with fewer than one equal-label neighbour pair per pair of Pi
 on average (``Fsm.pair_branching``), few pairs are reachable from a few
-pairs.  The engine then searches the cone of the rectangle, counts supports
+pairs.  The engine then searches the cone of ``within``, counts supports
 there as it visits them and runs the same removal loop on the cone only: a
 cone-of-influence reduction (Clarke, Grumberg & Peled, *Model Checking*,
 1999).  The cone is closed under supports, so every pair of it leaves at
-the same step as in the whole seed.  Otherwise the engine runs on the whole
-seed, as it always does for F and B: from a branching of about 1.3 up the
-cone covers most of the seed, and the search, one Python step per support,
+the same step as in the whole seed.  Otherwise, and without ``within``, the
+engine runs on the whole seed: from a branching of about 1.3 up the cone
+covers most of the seed, and the search, one Python step per support,
 costs more than the product, whose additions run on big integers (measured
 in CHANGES.md: up to 1.5 times the product's time with three labels and
 up to 12 times with one or two).
@@ -195,16 +200,19 @@ def _shrink(m: Fsm, first: PairRelation, forward: bool,
     synchronous recursion, and the propagation costs O(edges of the pair
     graph inside R_1).  Memory is a flag byte and a w-byte count per pair.
 
-    ``within``, if given, holds the pairs the caller reads.  When the pair
-    graph is subcritical (``Fsm.pair_branching`` below 1), so that few pairs
-    are reachable from any given ones, the engine runs on the cone of
-    ``within`` cap R_1 only (:func:`_cone_counts`) and returns the series
-    seeded at R_1 cap cone.  The cone holds every support of its pairs, so each cone
-    pair has the same count, is removed by the same dead pairs in the same
-    order, and leaves at the same step and at the same place in its layer as
-    in the full series; pairs off the cone never touch it.  The two series
-    therefore agree on every pair of ``within``.  Otherwise, and without
-    ``within``, the engine runs on all of R_1.
+    ``within``, if given, holds the pairs the caller reads: the mixed
+    rectangle for Lambda and Gamma, and the mixed pairs for F and B when a
+    check reads only those.  When the pair graph is subcritical
+    (``Fsm.pair_branching`` below 1), so that few pairs are reachable from
+    any given ones, the engine runs on the cone of ``within`` cap R_1 only
+    (:func:`_cone_counts`) and returns the series seeded at R_1 cap cone.
+    The cone holds every support of its pairs, so each cone pair has the
+    same count, is removed by the same dead pairs in the same order, and
+    leaves at the same step and at the same place in its layer as in the
+    full series; pairs off the cone never touch it.  The two series
+    therefore agree on every pair of ``within``, and are the same series
+    when the cone covers R_1.  Otherwise, and without ``within``, the engine
+    runs on all of R_1.
     """
     succ, pre = m.adjacency
     nbr, back = (succ, pre) if forward else (pre, succ)
@@ -241,26 +249,31 @@ def _shrink(m: Fsm, first: PairRelation, forward: bool,
     return FixpointSeries(first, PairRelation(m.universe, flag_bits(alive)), layers)
 
 
-def f_series(m: Fsm) -> FixpointSeries:
+def f_series(m: Fsm, within: Optional[PairRelation] = None) -> FixpointSeries:
     """Forward indistinguishability, seeded at the equal-output relation.
 
     Requires liveness: a state without successors would drop even diagonal
-    pairs, which the downstream theory does not allow.
+    pairs, which the downstream theory does not allow.  With ``within``, the
+    series is exact on those pairs and may cover only their cone
+    (:func:`_shrink`).
     """
     for s in m.states:
         if not m.succ(s):
             raise PreconditionError("state %s has no successor; forward "
                                     "indistinguishability needs liveness" % s)
-    return _shrink(m, m.pi, True)
+    return _shrink(m, m.pi, True, within)
 
 
-def b_series(m: Fsm, sigma: PairRelation) -> FixpointSeries:
-    """Backward indistinguishability confined to the seed relation sigma."""
+def b_series(m: Fsm, sigma: PairRelation,
+             within: Optional[PairRelation] = None) -> FixpointSeries:
+    """Backward indistinguishability confined to the seed relation sigma.
+    With ``within``, the series is exact on those pairs and may cover only
+    their cone (:func:`_shrink`)."""
     if not sigma.issubset(m.pi):
         raise UsageError("seed relation must only relate equal-output states")
     if not sigma.is_symmetric():
         raise UsageError("seed relation must be symmetric")
-    return _shrink(m, sigma, False)
+    return _shrink(m, sigma, False, within)
 
 
 class ProjectedSeries(FixpointSeries):

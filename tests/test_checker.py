@@ -42,6 +42,16 @@ def test_every_relation_holds_the_machine_universe(name, request):
     assert (a.s_tilde.fixed_point & a.lam.fixed_point).universe is a.restricted.universe
 
 
+def test_check_answers_for_the_machine_of_its_analysis(m1, fork):
+    # an analysis of another machine is refused, not read for m
+    with pytest.raises(UsageError, match="another machine"):
+        check(fork, "diag", Analysis(m1))
+    assert check(fork, "diag").witness[0] == ("3", "4")
+    # an analysis of an equal machine serves it
+    a = Analysis(m1)
+    assert check(m1.replace(), "diag", a) is check(m1, "diag", a)
+
+
 def test_diag_params_validation():
     with pytest.raises(UsageError):
         DiagParams(-1, 0, None, 0, 0)

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from fsmdiag import (
-    Fsm, PairRelation, PreconditionError, Universe, UsageError, b_series,
-    build_restricted, f_series, gamma_series, lambda_series, s_series,
+    Analysis, Fsm, PairRelation, PreconditionError, Universe, UsageError, b_series,
+    build_restricted, check, f_series, gamma_series, lambda_series, s_series, same_block,
 )
-from fsmdiag import fixpoint
+from fsmdiag import checker, cli, fixpoint
 from conftest import sym, theta
 
 
@@ -221,9 +221,11 @@ def ring_machine(labels, steps):
 
 
 class TestEnginePath:
-    """Lambda and Gamma ask the shrink engine for the mixed rectangle only;
-    it searches that rectangle's cone when the pair graph is subcritical,
-    and F and B always run on all of their seed."""
+    """Lambda and Gamma ask the shrink engine for the mixed rectangle only,
+    and F and B, called without ``within``, for all of their seed; the
+    engine searches the cone of the pairs asked for when the pair graph is
+    subcritical.  The checks that read F, B and B~ on mixed pairs only ask
+    for those pairs, and eventual and sets for the whole series."""
 
     @staticmethod
     def paths(monkeypatch, m):
@@ -259,6 +261,75 @@ class TestEnginePath:
         assert m.pair_branching == 30 / 12
         assert self.paths(monkeypatch, m) == {"lambda": "product", "gamma": "product",
                                               "f": "product", "b": "product"}
+
+    @staticmethod
+    def builds(monkeypatch, m, run):
+        """``run()``'s builds of F, B and B~ on machine ``m``, in order, each
+        with the support counter it ran: ("f", "cone") for F on the cone."""
+        out, building = [], []
+        for name, path in (("_cone_counts", "cone"), ("_support_counts", "product")):
+            monkeypatch.setattr(fixpoint, name, lambda *args, f=getattr(fixpoint, name), path=path:
+                                building and out.append((building[-1], path)) or f(*args))
+        for name in ("f_series", "b_series"):
+            def build(mb, *args, f=getattr(checker, name), name=name):
+                building.append(name[0] if mb is m else name[0] + "_tilde")
+                try:
+                    return f(mb, *args)
+                finally:
+                    building.pop()
+            monkeypatch.setattr(checker, name, build)
+        run()
+        return out
+
+    @pytest.mark.parametrize("prop, expected", [
+        ("parametric", [("b_tilde", "cone"), ("f", "cone")]),
+        ("diag", [("f", "cone")]),
+        ("eventual-obs", [("b", "cone")]),
+        ("exact-step", [("b", "cone"), ("f", "cone")]),
+        ("initial-obs", [("f", "cone")]),
+        ("eventual", [("b", "product"), ("f", "product")]),
+    ])
+    def test_checks_of_mixed_pairs_take_the_cone(self, monkeypatch, prop, expected):
+        # eventual pins its parameters to steps of the whole of B and F
+        m = ring_machine("abcdefgh", [(2,), (5,)])
+        assert self.builds(monkeypatch, m, lambda: check(m, prop)) == expected
+
+    def test_sets_takes_the_whole_series(self, monkeypatch, capsys):
+        m = ring_machine("abcdefgh", [(2,), (5,)])
+        monkeypatch.setattr(cli, "load_fsm", lambda path: m)
+        assert self.builds(monkeypatch, m, lambda: cli.main(["sets", "ring.fsm"])) == [
+            ("f", "product"), ("b", "product")]
+        assert "F (converges at" in capsys.readouterr().out
+
+    def test_one_analysis_builds_each_view_once(self, monkeypatch):
+        m = ring_machine("abcdefgh", [(2,), (5,)])
+        a = Analysis(m)
+        props = ("exact-step", "initial-obs", "eventual-obs", "parametric", "diag")
+        assert self.builds(monkeypatch, m, lambda: [check(m, p, a) for p in props]) == [
+            ("b", "cone"), ("f", "cone"), ("b_tilde", "cone")]
+
+    def test_a_view_that_covers_its_seed_is_the_whole_series(self, monkeypatch):
+        # on the product path the view of exact-step is all of F and B, and
+        # eventual reads it again
+        m = ring_machine("abc", [(2, 3), (2, 3)])
+        a = Analysis(m)
+        props = ("exact-step", "eventual")
+        assert self.builds(monkeypatch, m, lambda: [check(m, p, a) for p in props]) == [
+            ("b", "product"), ("f", "product")]
+        assert a.on_mixed("f") is a.f and a.on_mixed("b") is a.b
+
+
+def test_views_agree_with_the_whole_series_on_their_pairs(m1, m2, fork):
+    # F and B asked for the mixed pairs are exact there, on either path
+    for m in (m1, m2, fork, ring_machine("abcdefgh", [(2,), (5,)])):
+        mixed = same_block(m.universe, m.critical).complement()
+        s_star = s_series(m).fixed_point
+        for view, whole in ((f_series(m, mixed), f_series(m)),
+                            (b_series(m, s_star, mixed), b_series(m, s_star))):
+            assert view.first.issubset(whole.first)
+            assert view.first & mixed == whole.first & mixed
+            assert view.fixed_point & mixed == whole.fixed_point & mixed
+            assert view.removal_steps(mixed & view.first) == whole.removal_steps(mixed & whole.first)
 
 
 def test_convergence_bound(m1, m2, m2_single, fork):

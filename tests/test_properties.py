@@ -246,18 +246,18 @@ def test_masking_series_project_the_avoiding_recursion(m):
         assert series.emptied_at == (k_star if proj[0] and not proj[-1] else None)
 
 
-def both_ways(m, run):
+def both_ways(run):
     """``run()`` with the shrink engine on its cone path and on its product
-    path, whatever the branching factor of machine ``m`` would select."""
+    path, whatever the branching factor of any machine would select."""
     out = []
     for branching in (0.0, 1.0):
-        with mock.patch.dict(m.__dict__, pair_branching=branching):
+        with mock.patch.object(Fsm, "pair_branching", property(lambda m, b=branching: b)):
             out.append(run())
     return out
 
 
 def assert_cone_is_the_full_series_there(m, seed, forward, within):
-    cone, full = both_ways(m, lambda: _shrink(m, seed, forward, within))
+    cone, full = both_ways(lambda: _shrink(m, seed, forward, within))
     step = m.succ if forward else m.pre
     assert cone.first.issubset(seed) and cone.first & within == seed & within
     # the cone holds every support of its pairs
@@ -278,8 +278,8 @@ def assert_cone_is_the_full_series_there(m, seed, forward, within):
 def test_cone_and_product_paths_agree(m, data):
     # Lambda and Gamma are the same on either path of the shrink engine
     s_star = s_series(m).fixed_point
-    cone, product = both_ways(m, lambda: [(s.first, s.fixed_point, s.layers) for s in
-                                          (lambda_series(m, s_star), gamma_series(m, s_star))])
+    cone, product = both_ways(lambda: [(s.first, s.fixed_point, s.layers) for s in
+                                       (lambda_series(m, s_star), gamma_series(m, s_star))])
     assert cone == product
     # on any seed, the cone series is the full series restricted to the cone
     seed = data.draw(st.sampled_from([m.pi, _avoid_seed(m, s_star)]))
@@ -292,6 +292,33 @@ def test_cone_and_product_paths_agree(m, data):
     for step in (m.succ, m.pre):
         total = sum(m.label[a] == m.label[b] for i, j in pi for a in step(i) for b in step(j))
         assert m.pair_branching == pytest.approx(total / len(pi))
+
+
+def verdict_outcome(m, kind, a=None):
+    """Everything ``check`` says about ``kind`` on m, or the error it raises."""
+    try:
+        v = check(m, kind, a)
+    except UsageError as exc:
+        return str(exc)
+    return (v.holds, v.params, v.witness, v.frontier, v.bfgl)
+
+
+@given(st.one_of([analysis_machines(max_states=7, outputs=o) for o in ("ab", "abcd", "abcdefgh")]),
+       st.booleans(), st.permutations(list(PropertyKind)))
+@COMMON
+def test_cone_and_product_paths_give_the_same_verdicts(m, critical_initial, order):
+    # the checks that read F, B and B~ on mixed pairs only read views of
+    # them, which cover only a cone on the cone path; initial-obs needs
+    # every critical state initial
+    if critical_initial:
+        m = m.replace(initial=m.initial | m.critical)
+    fresh = both_ways(lambda: {kind: verdict_outcome(m, kind) for kind in PropertyKind})
+    assert fresh[0] == fresh[1]
+
+    def shared():
+        a = Analysis(m)
+        return {kind: verdict_outcome(m, kind, a) for kind in order}
+    assert both_ways(shared) == fresh
 
 
 @pytest.mark.parametrize("forward", [True, False])
@@ -426,17 +453,23 @@ def test_a_state_no_execution_reaches_changes_no_verdict(m, data):
         assert check(pair[0], kind) == check(pair[1], kind), kind
 
 
+def walk_output(m, picks):
+    """The output of a walk of m: ``picks[0]`` chooses the initial state and
+    each later pick a successor of the last state, among the sorted ones."""
+    walk = [sorted(m.initial)[picks[0] % len(m.initial)]]
+    for pick in picks[1:]:
+        after = sorted(m.succ(walk[-1]))
+        walk.append(after[pick % len(after)])
+    return [m.label[s] for s in walk]
+
+
 @given(analysis_machines(max_states=7), st.data(),
        st.lists(st.integers(0, 5), min_size=1, max_size=30))
 @COMMON
 def test_a_state_no_execution_reaches_changes_no_event(m, data, picks):
     # the stream is the output of a walk of m, which never enters x
     mx = with_unreached_state(m, data)
-    walk = [sorted(m.initial)[picks[0] % len(m.initial)]]
-    for pick in picks[1:]:
-        after = sorted(m.succ(walk[-1]))
-        walk.append(after[pick % len(after)])
-    symbols = [m.label[s] for s in walk]
+    symbols = walk_output(m, picks)
     for prop in ("parametric", "diag", "eventual", "critical"):
         v = check(m, prop)
         if v.holds:
@@ -454,21 +487,40 @@ def test_renaming_states_changes_no_verdict(m, perm):
     assert verdict_facts(renamed) == verdict_facts(m)
 
 
-@given(analysis_machines(max_states=7), st.data())
-@COMMON
-def test_a_bisimilar_copy_of_a_state_changes_no_verdict(m, data):
-    # x copies s: its label, successors, predecessors and initial and
-    # critical flags; merging x back into s gives m
+def with_bisimilar_copy(m, data):
+    """m plus a state x that copies a drawn state s: its label, successors,
+    predecessors and initial and critical flags; merging x back into s
+    gives m."""
     s = data.draw(st.sampled_from(m.states))
 
     def twins(t):
         return (t, "x") if t == s else (t,)
 
-    copied = Fsm(m.states + ("x",), m.initial | ({"x"} if s in m.initial else set()),
-                 {**m.label, "x": m.label[s]},
-                 {(a2, b2) for a, b in m.trans for a2 in twins(a) for b2 in twins(b)},
-                 m.critical | ({"x"} if s in m.critical else set()))
-    assert verdict_facts(copied) == verdict_facts(m)
+    return Fsm(m.states + ("x",), m.initial | ({"x"} if s in m.initial else set()),
+               {**m.label, "x": m.label[s]},
+               {(a2, b2) for a, b in m.trans for a2 in twins(a) for b2 in twins(b)},
+               m.critical | ({"x"} if s in m.critical else set()))
+
+
+@given(analysis_machines(max_states=7), st.data())
+@COMMON
+def test_a_bisimilar_copy_of_a_state_changes_no_verdict(m, data):
+    assert verdict_facts(with_bisimilar_copy(m, data)) == verdict_facts(m)
+
+
+@given(analysis_machines(max_states=7), st.data(),
+       st.lists(st.integers(0, 5), min_size=1, max_size=30))
+@COMMON
+def test_a_bisimilar_copy_of_a_state_changes_no_event(m, data, picks):
+    # the copy has the same executions up to renaming x to s, so the same
+    # outputs; the stream is the output of a walk of m
+    copied = with_bisimilar_copy(m, data)
+    symbols = walk_output(m, picks)
+    for prop in ("parametric", "diag", "eventual", "critical"):
+        v = check(m, prop)
+        if v.holds:
+            events = observe(copied, check(copied, prop), symbols)[1]
+            assert observe(m, v, symbols)[1] == events, prop
 
 
 @given(analysis_machines(max_states=6, outputs="abc"))
