@@ -179,7 +179,9 @@ class Analysis:
         ``within``, exact there and possibly only on their cone.  A view
         whose first relation is the whole seed, as on the engine's product
         path, is the whole series and is kept as such, so neither form is
-        ever built twice."""
+        ever built twice.  Any other name raises UsageError."""
+        if name not in ("f", "b", "b_tilde"):
+            raise UsageError("no view on the mixed pairs of series %r" % (name,))
         if name in self.__dict__:       # where cached_property keeps the whole series
             return self.__dict__[name]
         view = self._views.get(name)

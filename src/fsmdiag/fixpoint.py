@@ -17,9 +17,11 @@ All five walk the pair graph, whose nodes are ordered state pairs and whose
 edges join (i, j) to (a, b) for a a neighbour of i and b one of j, over the
 machine's integer adjacency (``Fsm.adjacency``).  Pi, the equal-output
 pairs, is built once per machine (``Fsm.pi``) and seeds or bounds S, F and
-B.  ``s_series`` is a worklist; S never leaves Pi, so it stops as soon as it
-holds all of Pi, and when X0 x X0 already covers Pi the seed is returned as
-the fixed point with no layers, without decoding a single pair.
+B.  The pair graph is walked forward by one breadth-first search,
+``_search``: S is the search of Pi from X0 x X0 cap Pi, one level per step,
+and the engine's cone (below) the search of R_1 from ``within``.  When
+X0 x X0 already covers Pi, S returns the seed as the fixed point with no
+layers, without decoding a single pair.
 The four shrinking recursions share one counter engine, ``_shrink``, in the
 manner of AC-4 arc consistency.  Each pair's supports are counted once, as
 the integer matrix C = N . R_1 . N^T (N the 0/1 neighbour matrix), formed a
@@ -63,50 +65,66 @@ from .relations import (
 )
 
 
+def _search(flags: bytearray, start: list, n: int, nbr, count=None) -> list:
+    """Breadth-first search of the pair graph, whose edges join (i, j) to
+    each pair of N(i) x N(j), from the pairs ``start`` through the pairs
+    flagged 1 in ``flags`` (one byte per pair).  Every pair reached,
+    ``start`` included, is flagged 2, and the reached pairs are returned
+    level by level, ``start`` first, each level in discovery order: for
+    each pair of the level before in turn, N(i) then N(j).  Given ``count``,
+    one field per pair, each reached pair's supports, the pairs of
+    N(i) x N(j) flagged 1 or 2, are counted there.  O(reached x deg^2)."""
+    for p in start:
+        flags[p] = 2
+    levels = [start]
+    for level in levels:        # grows while it is read, one level per step
+        nxt = []
+        for p in level:
+            i, j = divmod(p, n)
+            nbr_j = nbr[j]
+            c = 0
+            for a in nbr[i]:
+                row = a * n
+                for b in nbr_j:
+                    q = row + b
+                    f = flags[q]
+                    if f:
+                        c += 1
+                        if f == 1:
+                            flags[q] = 2
+                            nxt.append(q)
+            if count is not None:
+                count[p] = c
+        if nxt:
+            levels.append(nxt)
+    return levels
+
+
 def s_series(m: Fsm) -> FixpointSeries:
     """Joint forward reachability under equal outputs, seeded at X0 x X0.
 
-    Grows monotonically; a worklist over the machine's integer adjacency
-    propagates only newly added pairs, so the cost is linear in the number
-    of transition pairs rather than steps times relation size.  It stops
-    once every pair of Pi is in, since S stays inside Pi: when X0 x X0
-    already covers Pi, the seed is returned as the fixed point with no
-    layers, and no pair is decoded.  Liveness is not required.
+    S never leaves Pi and grows, at each step, by the equal-output successor
+    pairs of the pairs it gained at the step before.  So it is the
+    breadth-first search of Pi from X0 x X0 cap Pi (:func:`_search`): each
+    level after the first is a layer, and the fixed point is every pair
+    reached.  The cost is linear in the transition pairs the search meets
+    rather than steps times relation size.  When X0 x X0 already covers Pi,
+    the seed is returned as the fixed point with no layers, and no pair is
+    decoded.  Liveness is not required.
     """
     pi = m.pi
     first = product_relation(m.universe, m.initial, m.initial) & pi
-    missing = len(pi) - len(first)     # pairs of Pi not in S yet
-    if not missing:
+    if first == pi:
         return FixpointSeries(first, first, [])
     n = m.universe.n
-    succ, _ = m.adjacency
-    label = [m.label[s] for s in m.states]
-    seen = bit_flags(first.bits, n * n)
-    layers = [bit_indices(first.bits)]
-    for layer in layers:        # grows while it is read, one layer per step
-        nxt = []
-        for p in layer:
-            if len(nxt) == missing:     # every pair of Pi is seen
-                break
-            i, j = divmod(p, n)
-            succ_j = succ[j]
-            for a in succ[i]:
-                la = label[a]
-                row = a * n
-                for b in succ_j:
-                    q = row + b
-                    if label[b] == la and not seen[q]:
-                        seen[q] = 1
-                        nxt.append(q)
-        if nxt:
-            layers.append(nxt)
-            missing -= len(nxt)
-    fixed = pi if not missing else PairRelation(m.universe, flag_bits(seen))
-    return FixpointSeries(first, fixed, layers[1:])
+    flags = bit_flags(pi.bits, n * n)
+    levels = _search(flags, bit_indices(first.bits), n, m.adjacency[0])
+    fixed = PairRelation(m.universe, flag_bits(flags.translate(_REACHED)))
+    return FixpointSeries(first, fixed, levels[1:])
 
 
 _IS_ZERO = bytes([1]) + bytes(255)          # translation table: 0 -> 1, else -> 0
-_IN_CONE = bytes(2) + bytes([1]) + bytes(253)  # translation table: 2 -> 1, else -> 0
+_REACHED = bytes(2) + bytes([1]) + bytes(253)  # translation table: 2 -> 1, else -> 0
 _FIELD = {1: "B", 2: "H", 4: "I", 8: "Q"}   # memoryview format of a w-byte field
 
 
@@ -156,32 +174,16 @@ def _cone_counts(first: PairRelation, within: PairRelation, n: int, nbr):
     """The cone of ``within`` cap R_1, the pairs reachable from it along
     supports (pairs of N(i) x N(j) inside R_1), as ``(flags, counts, w)``:
     one flag byte per pair, set on the cone, and each cone pair's supports
-    in the w-byte fields of :func:`_support_counts`, 0 off the cone.  A
-    breadth-first search that counts each pair's supports as it visits
-    them, in O(cone x deg^2)."""
+    in the w-byte fields of :func:`_support_counts`, 0 off the cone.  The
+    cone is the breadth-first search of R_1 from ``within`` cap R_1
+    (:func:`_search`), which counts each pair's supports as it visits it,
+    in O(cone x deg^2)."""
     w = _field_width(nbr)
     counts = bytearray(n * n * w)
-    count = memoryview(counts).cast(_FIELD[w])
     flags = bit_flags(first.bits, n * n)        # 1 in R_1, 2 in the cone
-    cone = bit_indices(within.bits & first.bits)
-    for p in cone:
-        flags[p] = 2
-    for p in cone:              # grows while it is read
-        i, j = divmod(p, n)
-        nbr_j = nbr[j]
-        c = 0
-        for a in nbr[i]:
-            row = a * n
-            for b in nbr_j:
-                q = row + b
-                f = flags[q]
-                if f:
-                    c += 1
-                    if f == 1:
-                        flags[q] = 2
-                        cone.append(q)
-        count[p] = c
-    return flags.translate(_IN_CONE), counts, w
+    _search(flags, bit_indices(within.bits & first.bits), n, nbr,
+            memoryview(counts).cast(_FIELD[w]))
+    return flags.translate(_REACHED), counts, w
 
 
 def _shrink(m: Fsm, first: PairRelation, forward: bool,

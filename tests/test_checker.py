@@ -4,7 +4,7 @@ import pytest
 
 from fsmdiag import (
     Analysis, DiagParams, FixpointSeries, Fsm, Horizon, PreconditionError, UsageError,
-    check, check_definition, observe, product_relation, validate,
+    check, check_definition, lambda_series, observe, product_relation, validate,
 )
 from fsmdiag import checker
 from fsmdiag.checker import PropertyKind
@@ -50,6 +50,25 @@ def test_check_answers_for_the_machine_of_its_analysis(m1, fork):
     # an analysis of an equal machine serves it
     a = Analysis(m1)
     assert check(m1.replace(), "diag", a) is check(m1, "diag", a)
+
+
+def test_on_mixed_takes_only_f_b_and_b_tilde(fork):
+    # any other name is refused before a build, so no view can take the
+    # slot of another series
+    a = Analysis(fork)
+    for name in ("lam", "gam", "s", "s_tilde", "F", ""):
+        with pytest.raises(UsageError, match="no view"):
+            a.on_mixed(name)
+    assert a.__dict__.keys().isdisjoint(["lam", "gam", "s", "s_tilde", "b_tilde"])
+    assert a.lam == lambda_series(fork, a.s.fixed_point)
+    # with a view of B~ in Lambda's slot, diag read delta = gamma1 = gamma2 = 1
+    m = Fsm("123", "3", {"1": "c", "2": "a", "3": "b"},
+            [("1", "1"), ("1", "3"), ("2", "2"), ("3", "1"), ("3", "3")], critical={"3"})
+    a = Analysis(m)
+    with pytest.raises(UsageError):
+        a.on_mixed("lam")
+    assert check(m, "diag", a) == check(m, "diag")
+    assert check(m, "diag", a).params.delta == 0
 
 
 def test_diag_params_validation():

@@ -4,7 +4,8 @@ import pytest
 
 from fsmdiag import (
     Analysis, Fsm, PairRelation, PreconditionError, Universe, UsageError, b_series,
-    build_restricted, check, f_series, gamma_series, lambda_series, s_series, same_block,
+    build_restricted, check, enum_relation, f_series, gamma_series, lambda_series, s_series,
+    same_block,
 )
 from fsmdiag import checker, cli, fixpoint
 from conftest import sym, theta
@@ -94,6 +95,17 @@ class TestS:
         s = assert_s_matches_reference(m)
         assert s.convergence_step == 9
         assert s.fixed_point == m.pi == PairRelation.full(m.universe)
+
+    def test_reaching_pi_at_step_two_keeps_its_layer(self):
+        # one output and one initial state, each state stepping to both: S_1
+        # is a single pair and S_2 is already Pi, in one layer
+        m = Fsm("12", "1", {"1": "a", "2": "a"},
+                [("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")])
+        s = assert_s_matches_reference(m)
+        assert s.fixed_point == m.pi
+        assert s.convergence_step == 2
+        for k in range(1, 4):
+            assert s.at(k) == enum_relation(m, "S", k)
 
 
 class TestF:

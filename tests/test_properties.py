@@ -125,7 +125,7 @@ def test_series_shape(m):
 @given(machines(max_states=6, outputs="ab"))
 @COMMON
 def test_s_matches_plain_growth(m):
-    # on two outputs S often reaches Pi, and then stops growing early
+    # on two outputs S often reaches all of Pi, which it cannot outgrow
     assert_s_matches_reference(m)
     assert_s_matches_reference(build_restricted(m))
 
@@ -521,6 +521,36 @@ def test_a_bisimilar_copy_of_a_state_changes_no_event(m, data, picks):
         if v.holds:
             events = observe(copied, check(copied, prop), symbols)[1]
             assert observe(m, v, symbols)[1] == events, prop
+
+
+def avoids_window(m, symbols, lo, hi):
+    """Whether some execution from X0 that produces ``symbols`` is outside
+    the critical set at every step of [lo, hi]: a forward sweep of the
+    states such executions can be in, step by step."""
+    cur = {s for s in m.initial if m.label[s] == symbols[0]}
+    for k, y in enumerate(symbols, 1):
+        if k > 1:
+            cur = {t for s in cur for t in m.succ(s) if m.label[t] == y}
+        if lo <= k <= hi:
+            cur -= m.critical
+    return bool(cur)
+
+
+@given(st.one_of([analysis_machines(max_states=6, outputs=o) for o in ("ab", "abc")]),
+       st.lists(st.integers(0, 5), min_size=1, max_size=12))
+@COMMON
+def test_event_windows_hold_a_crossing_on_every_execution(m, picks):
+    """An event found at step k with window [lo, hi] is sound: every
+    execution of length k from X0 with the stream's outputs is critical at
+    some step of [lo, hi].  parametric is left out: its estimate also holds
+    states that only executions which crossed inside the transient reach,
+    so its windows can miss every crossing of an execution."""
+    symbols = walk_output(m, picks)
+    for prop in ("diag", "eventual", "critical"):
+        v = check(m, prop)
+        if v.holds:
+            for ev in observe(m, v, symbols)[1]:
+                assert not avoids_window(m, symbols[:ev.detected_at], *ev.window), (prop, ev)
 
 
 @given(analysis_machines(max_states=6, outputs="abc"))
