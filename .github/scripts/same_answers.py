@@ -6,11 +6,21 @@ BASE_SRC and HEAD_SRC are the ``src`` directories of the two trees.  The
 machines are ``tests/fixtures/*.fsm`` and those ``bench/workloads.py``
 writes for every workload at seeds 1 and 4242, into a temporary directory
 that is removed afterwards.  On each machine the commands are
-``check FILE --property P --json`` for the eight properties and
-``sets FILE --json --steps``.  Each tree runs all of them in one Python
-process with that tree on the path, calling ``fsmdiag.cli.main`` per
-command and capturing its exit code, stdout and stderr.  Prints every
-command on which the two differ; exits 1 if any does and 0 otherwise.
+
+* ``check FILE --property P --json`` for the eight properties;
+* ``sets FILE --json --steps``;
+* ``validate FILE --json --mode M`` for both modes;
+* ``desilent FILE --json -o OUT --provenance PROV``.
+
+Besides, ``observe FILE --property P --json --trace SYMBOLS`` runs for the
+four properties the estimator serves on each many-labels walk, and
+``oracle FILE --property P --json --horizon 6`` for the eight properties
+on each fixture.  Each tree runs all of them in one Python process with
+that tree on the path and its own working directory, calling
+``fsmdiag.cli.main`` per command and capturing its exit code, stdout,
+stderr and the text of each file it names after ``-o`` or
+``--provenance``.  Prints every command on which the two differ; exits 1
+if any does and 0 otherwise.
 """
 
 import argparse
@@ -26,16 +36,21 @@ WORKLOADS = ("few-labels", "many-labels", "silent")
 SEEDS = (1, 4242)
 PROPERTIES = ("parametric", "diag", "eventual", "critical",
               "eventual-obs", "critical-obs", "initial-obs", "exact-step")
+OBSERVED = PROPERTIES[:4]
+FIELDS = ("exit code", "stdout", "stderr", "output file", "provenance file")
 
 # Run in each tree's process: reads the commands as JSON on stdin and
-# writes one [exit code, stdout, stderr] per command as JSON on stdout.  An
-# exception the CLI lets through is recorded by type and message, without
-# the traceback, whose file paths differ between the trees.
+# writes one [exit code, stdout, stderr, files...] per command as JSON on
+# stdout, the files being the text of each path after -o or --provenance
+# (None if absent).  An exception the CLI lets through is recorded by type
+# and message, without the traceback, whose file paths differ between the
+# trees.
 RUNNER = r"""
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 from fsmdiag.cli import main
 out = []
 for argv in json.load(sys.stdin):
+    files = [argv[i + 1] for i, arg in enumerate(argv) if arg in ("-o", "--provenance")]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
@@ -44,14 +59,34 @@ for argv in json.load(sys.stdin):
             code = exc.code
         except Exception as exc:
             code = "uncaught %s: %s" % (type(exc).__name__, exc)
-    out.append([code, stdout.getvalue(), stderr.getvalue()])
+    texts = []
+    for path in files:
+        texts.append(open(path, encoding="utf-8").read() if os.path.exists(path) else None)
+    out.append([code, stdout.getvalue(), stderr.getvalue()] + texts)
 json.dump(out, sys.__stdout__)
 """
 
 
-def machines(tmp):
-    """The fixture files and the workload machines written under ``tmp``."""
-    files = sorted(glob.glob(os.path.join(ROOT, "tests", "fixtures", "*.fsm")))
+def fixtures():
+    return sorted(glob.glob(os.path.join(ROOT, "tests", "fixtures", "*.fsm")))
+
+
+def walks(directory):
+    """(machine file, output symbols) of each estimator walk written to
+    ``directory``: the walks are state sequences, and the third field of a
+    ``state`` line is ``output=SYMBOL``."""
+    with open(os.path.join(directory, "inputs.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    for path, walk in manifest["walks"].items():
+        with open(path, encoding="utf-8") as fh:
+            label = {t[1]: t[2][len("output="):] for t in map(str.split, fh) if t[:1] == ["state"]}
+        yield path, " ".join(label[s] for s in walk)
+
+
+def commands(tmp):
+    """Every command to run, on the fixtures and on the workload machines
+    written under ``tmp``."""
+    files, runs = fixtures(), []
     for workload in WORKLOADS:
         for seed in SEEDS:
             directory = os.path.join(tmp, "%s-%d" % (workload, seed))
@@ -60,11 +95,22 @@ def machines(tmp):
                             "--workload", workload, "--seed", str(seed), "--dir", directory],
                            check=True, stdout=subprocess.DEVNULL)
             files += sorted(glob.glob(os.path.join(directory, "*.fsm")))
-    return files
+            runs += [["observe", path, "--property", p, "--json", "--trace", symbols]
+                     for path, symbols in walks(directory) for p in OBSERVED]
+    for k, path in enumerate(files):
+        runs += [["check", path, "--property", p, "--json"] for p in PROPERTIES]
+        runs.append(["sets", path, "--json", "--steps"])
+        runs += [["validate", path, "--json", "--mode", mode] for mode in ("analysis", "desilent")]
+        runs.append(["desilent", path, "--json", "-o", "out%d.fsm" % k,
+                     "--provenance", "prov%d.json" % k])
+    return runs + [["oracle", path, "--property", p, "--json", "--horizon", "6"]
+                   for path in fixtures() for p in PROPERTIES]
 
 
 def answers(src, commands, cwd):
-    """[exit code, stdout, stderr] of each command under the tree ``src``."""
+    """[exit code, stdout, stderr, files...] of each command under the tree
+    ``src``, run in the new directory ``cwd``."""
+    os.mkdir(cwd)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     done = subprocess.run([sys.executable, "-c", RUNNER], input=json.dumps(commands),
                           capture_output=True, text=True, env=env, cwd=cwd, check=True)
@@ -77,21 +123,19 @@ def main(argv=None):
     parser.add_argument("head_src")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        commands = []
-        for path in machines(tmp):
-            commands += [["check", path, "--property", p, "--json"] for p in PROPERTIES]
-            commands.append(["sets", path, "--json", "--steps"])
-        base = answers(args.base_src, commands, tmp)
-        head = answers(args.head_src, commands, tmp)
+        runs = commands(tmp)
+        base = answers(args.base_src, runs, os.path.join(tmp, "base"))
+        head = answers(args.head_src, runs, os.path.join(tmp, "head"))
         differ = 0
-        for argv, old, new in zip(commands, base, head):
+        for argv, old, new in zip(runs, base, head):
             if old != new:
                 differ += 1
-                fields = [name for name, a, b in zip(("exit code", "stdout", "stderr"), old, new)
-                          if a != b]
+                fields = [name for name, a, b in zip(FIELDS, old, new) if a != b]
+                if argv[0] == "observe":
+                    argv = argv[:-1] + ["(%d symbols)" % len(argv[-1].split())]
                 print("differs (%s): %s" % (", ".join(fields),
                                             " ".join(argv).replace(tmp + os.sep, "")))
-    print("%d of %d commands differ" % (differ, len(commands)))
+    print("%d of %d commands differ" % (differ, len(runs)))
     return 1 if differ else 0
 
 

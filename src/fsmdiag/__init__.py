@@ -16,6 +16,6 @@ from .model import (EPSILON, Fsm, ValidationReport, Violation,
                     validate)
 from .oracle import (Counterexample, Horizon, OracleOutcome, check_definition,
                      enum_relation, minimal_params)
-from .relations import FixpointSeries, PairRelation, Universe, product_relation, same_block
+from .relations import FixpointSeries, PairRelation, Universe, product_relation
 
 __all__ = [name for name in dir() if not name.startswith("_")]

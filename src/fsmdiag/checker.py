@@ -30,7 +30,7 @@ from typing import Optional
 from .errors import UsageError
 from .fixpoint import b_series, f_series, gamma_series, lambda_series, s_series
 from .model import Fsm, build_restricted, validate
-from .relations import FixpointSeries, PairRelation, product_relation, same_block
+from .relations import FixpointSeries, PairRelation, product_relation
 
 
 class PropertyKind(str, enum.Enum):
@@ -167,26 +167,22 @@ class Analysis:
     def gam(self):
         return gamma_series(self.m, self.s.fixed_point)
 
-    @cached_property
-    def block(self):
-        """Pairs on the same side of the critical set."""
-        return same_block(self.m.universe, self.m.critical)
-
     def on_mixed(self, name: str) -> FixpointSeries:
         """The series ``name`` ("f", "b" or "b_tilde") as far as a check that
         reads it on mixed pairs only needs it: the whole series if that is
-        built, and otherwise the series asked for the mixed pairs as
-        ``within``, exact there and possibly only on their cone.  A view
-        whose first relation is the whole seed, as on the engine's product
-        path, is the whole series and is kept as such, so neither form is
-        ever built twice.  Any other name raises UsageError."""
+        built, and otherwise the series asked for the mixed pairs
+        (``Fsm.mixed``) as ``within``, exact there and possibly only on
+        their cone.  A view whose first relation is the whole seed, as on
+        the engine's product path, is the whole series and is kept as such,
+        so neither form is ever built twice.  Any other name raises
+        UsageError."""
         if name not in ("f", "b", "b_tilde"):
             raise UsageError("no view on the mixed pairs of series %r" % (name,))
         if name in self.__dict__:       # where cached_property keeps the whole series
             return self.__dict__[name]
         view = self._views.get(name)
         if view is None:
-            within = self.block.complement()
+            within = self.m.mixed
             if name == "f":
                 seed, view = self.pi, f_series(self.m, within)
             elif name == "b":
@@ -279,7 +275,7 @@ def _verdict(kind: PropertyKind, bad: PairRelation, why: str, scan, pin=None) ->
 
 
 # Every check but eventual's (and critical's, through it) reads F, B and B~
-# only on pairs of Lambda's or Gamma's first relation or outside ``block``,
+# only on pairs of Lambda's or Gamma's first relation or of ``Fsm.mixed``,
 # all of them mixed, so it asks for them through ``Analysis.on_mixed``.
 
 
@@ -292,9 +288,14 @@ def check_parametric(a: Analysis) -> DiagVerdict:
                                       f=a.on_mixed("f"), l=a.lam))
 
 
+def _diag_failures(a: Analysis) -> PairRelation:
+    """The pairs that fail diag, read off S~ and Lambda alone."""
+    return a.s_tilde.fixed_point & a.lam.fixed_point
+
+
 def check_diag(a: Analysis) -> DiagVerdict:
     """Detection of the first crossing, with no transient allowance."""
-    return _verdict(PropertyKind.DIAG, a.s_tilde.fixed_point & a.lam.fixed_point,
+    return _verdict(PropertyKind.DIAG, _diag_failures(a),
                     "jointly reachable and forward-maskable",
                     lambda: _frontier(a.s_tilde.fixed_point, f=a.on_mixed("f"), l=a.lam))
 
@@ -321,6 +322,10 @@ def check_critical(a: Analysis) -> DiagVerdict:
     """Detection of every crossing with no transient allowance: the
     conjunction of the first-crossing and eventual properties."""
     kind = PropertyKind.CRITICAL
+    if not _diag_failures(a):
+        # diag holds, so eventual goes first: diag's scan then reads the
+        # whole F that eventual builds, rather than F on the mixed pairs too
+        check(a.m, "eventual", a)
     dg = check(a.m, "diag", a)
     if not dg.holds:
         return DiagVerdict(kind, False, witness=dg.witness)
@@ -335,7 +340,7 @@ def check_critical(a: Analysis) -> DiagVerdict:
 
 def check_eventual_obs(a: Analysis) -> DiagVerdict:
     """Zero-delay detection of crossings after a transient."""
-    return _verdict(PropertyKind.EVENTUAL_OBS, a.on_mixed("b").fixed_point - a.block,
+    return _verdict(PropertyKind.EVENTUAL_OBS, a.on_mixed("b").fixed_point & a.m.mixed,
                     "backward-indistinguishable mixed pair",
                     lambda: _frontier(a.gam.first, b=a.on_mixed("b"), g=a.gam))
 
@@ -343,8 +348,8 @@ def check_eventual_obs(a: Analysis) -> DiagVerdict:
 def check_exact_step(a: Analysis) -> DiagVerdict:
     """Eventual detection that pins down the exact crossing step."""
     b, f = a.on_mixed("b"), a.on_mixed("f")
-    return _verdict(PropertyKind.EXACT_STEP, (b.fixed_point & f.fixed_point) - a.block,
-                    "persistent mixed pair", lambda: _frontier(a.block.complement(), b=b, f=f))
+    return _verdict(PropertyKind.EXACT_STEP, b.fixed_point & f.fixed_point & a.m.mixed,
+                    "persistent mixed pair", lambda: _frontier(a.m.mixed, b=b, f=f))
 
 
 def check_initial_obs(a: Analysis) -> DiagVerdict:
@@ -352,7 +357,7 @@ def check_initial_obs(a: Analysis) -> DiagVerdict:
     if not a.m.critical <= a.m.initial:
         raise UsageError("initial-state observability requires the critical "
                          "set to consist of initial states")
-    mixed_init = product_relation(a.m.universe, a.m.initial, a.m.initial) - a.block
+    mixed_init = product_relation(a.m.universe, a.m.initial, a.m.initial) & a.m.mixed
     return _verdict(PropertyKind.INITIAL_OBS, mixed_init & a.on_mixed("f").fixed_point,
                     "forward-indistinguishable initial mixed pair",
                     lambda: _frontier(mixed_init, f=a.on_mixed("f")))
@@ -361,7 +366,7 @@ def check_initial_obs(a: Analysis) -> DiagVerdict:
 def check_critical_obs(a: Analysis) -> DiagVerdict:
     """Zero-delay, zero-transient decision at every step."""
     # no series: the property holds at indices (1, 1, 1, 1)
-    return _verdict(PropertyKind.CRITICAL_OBS, a.s.fixed_point - a.block,
+    return _verdict(PropertyKind.CRITICAL_OBS, a.s.fixed_point & a.m.mixed,
                     "jointly reachable mixed pair", lambda: ((1, 1, 1, 1),))
 
 

@@ -34,79 +34,53 @@ def _load(args):
     return m
 
 
-class _Encoded(dict):
-    """The JSON text of each string looked up, encoded on first lookup."""
+def _sets_json(payload):
+    """``json.dumps(payload, indent=2, sort_keys=True)`` for ``cmd_sets``'
+    payload: relation name -> ``convergence_step``, ``fixed_point`` and,
+    with --steps, ``steps``, each relation a list of (str, str) pairs.
 
-    def __missing__(self, text):
-        encoded = self[text] = encode_basestring_ascii(text)
-        return encoded
-
-
-def _pair_items(seq, inner, encoded):
-    """The rendered items of ``seq`` at indent ``inner`` when every item is
-    a tuple of two str, else None.  Each distinct first and second element
-    is rendered once."""
-    if set(map(type, seq)) != {tuple} or set(map(len, seq)) != {2}:
-        return None
-    firsts, seconds = zip(*seq)
-    if set(map(type, firsts)) | set(map(type, seconds)) != {str}:
-        return None
-    item = inner + "  "
-    opens = {a: "[" + item + encoded[a] + "," + item for a in set(firsts)}
-    closes = {b: encoded[b] + inner + "]" for b in set(seconds)}
-    return map(str.__add__, map(opens.__getitem__, firsts), map(closes.__getitem__, seconds))
-
-
-def _dumps(obj):
-    """``json.dumps(obj, indent=2, sort_keys=True)`` for dicts with str keys,
-    lists, tuples, str, int, bool and None.
-
-    An indent sends ``json.dumps`` through its pure-Python encoder; this
-    writes the same text directly.  Strings go through the C string encoder,
-    each distinct one once per call, and a sequence of (str, str) pairs, the
-    bulk of ``sets`` output, is rendered in one join.
+    An indent sends ``json.dumps`` through its pure-Python encoder, one call
+    per pair and per state.  Here each list of pairs is one join, in which
+    each distinct state's JSON string is encoded once, and the pieces are
+    joined once at the end: no relation or list of steps is rendered to a
+    string of its own, which would copy the text of every list inside it.
     """
+    encoded = functools.cache(encode_basestring_ascii)
     out = []
-    _write_json(obj, "\n", out, _Encoded())
-    return "".join(out)
 
-
-def _write_json(obj, newline, out, encoded):
-    if isinstance(obj, str):
-        out.append(encoded[obj])
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(obj):
-            out.append(sep + encoded[key] + ": ")
-            _write_json(obj[key], inner, out, encoded)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
+    def pairs(seq, newline):
+        if not seq:
             out.append("[]")
             return
-        inner = newline + "  "
-        items = _pair_items(obj, inner, encoded)
-        if items is not None:
-            out.append("[" + inner + ("," + inner).join(items) + newline + "]")
-            return
-        sep = "[" + inner
-        for item in obj:
-            out.append(sep)
-            _write_json(item, inner, out, encoded)
-            sep = "," + inner
-        out.append(newline + "]")
-    else:
-        out.append(json.dumps(obj))
+        firsts, seconds = zip(*seq)
+        inner, item = newline + "  ", newline + "    "
+        opens = {a: "[" + item + encoded(a) + "," + item for a in set(firsts)}
+        closes = {b: encoded(b) + inner + "]" for b in set(seconds)}
+        items = map(str.__add__, map(opens.__getitem__, firsts), map(closes.__getitem__, seconds))
+        # one string per list: keeping the join apart from its brackets
+        # raised peak RSS on few-labels by about 0.6 MiB (CHANGES.md)
+        out.append("[" + inner + ("," + inner).join(items) + newline + "]")
+
+    for i, name in enumerate(sorted(payload)):
+        entry = payload[name]
+        out.append('%s%s: {\n    "convergence_step": %s,\n    "fixed_point": '
+                   % (",\n  " if i else "{\n  ", encoded(name),
+                      json.dumps(entry["convergence_step"])))
+        pairs(entry["fixed_point"], "\n    ")
+        if "steps" in entry:
+            out.append(',\n    "steps": ')
+            for k, step in enumerate(entry["steps"]):
+                out.append(",\n      " if k else "[\n      ")
+                pairs(step, "\n      ")
+            out.append("\n    ]" if entry["steps"] else "[]")
+        out.append("\n  }")
+    out.append("\n}" if payload else "{}")
+    return "".join(out)
 
 
 def _emit(args, report, lines):
     if args.json:
-        print(_dumps(report))
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
         for line in lines:
             print(line)
@@ -158,7 +132,8 @@ def cmd_sets(args):
             if args.steps:
                 entry["steps"] = [rel.pairs() for rel in series]
         payload[name] = entry
-    _emit(args, payload, _sets_lines(payload))
+    for line in [_sets_json(payload)] if args.json else _sets_lines(payload):
+        print(line)
     return 0
 
 
@@ -230,7 +205,7 @@ def cmd_desilent(args):
     if args.provenance:
         prov = {name: {"q": q, "w": w, "crossed": crossed}
                 for name, (q, w, crossed) in result.provenance.items()}
-        texts[args.provenance] = _dumps(prov)
+        texts[args.provenance] = json.dumps(prov, indent=2, sort_keys=True)
     _write_files(texts)
     _emit(args, {"states": len(result.m_hat.states),
                  "critical": sorted(result.m_hat.critical),

@@ -20,8 +20,8 @@ pairs, is built once per machine (``Fsm.pi``) and seeds or bounds S, F and
 B.  The pair graph is walked forward by one breadth-first search,
 ``_search``: S is the search of Pi from X0 x X0 cap Pi, one level per step,
 and the engine's cone (below) the search of R_1 from ``within``.  When
-X0 x X0 already covers Pi, S returns the seed as the fixed point with no
-layers, without decoding a single pair.
+every state is initial, X0 x X0 covers Pi, and S returns Pi as its own
+fixed point with no layers, building no rectangle and decoding no pair.
 The four shrinking recursions share one counter engine, ``_shrink``, in the
 manner of AC-4 arc consistency.  Each pair's supports are counted once, as
 the integer matrix C = N . R_1 . N^T (N the 0/1 neighbour matrix), formed a
@@ -31,17 +31,17 @@ layer by layer, so every pair leaves at the same step as in the synchronous
 recursion while the propagation is O(edges of the pair graph).  Memory is a
 flag byte and a w-byte count per pair.
 
-Every property reads its relations on mixed pairs only (one critical and
-one non-critical state, in either order), except ``eventual``, whose
-parameters are pinned to steps of the whole of F and B, and ``sets``, which
-prints whole series.  So a caller may name the pairs it reads as
-``within``: Lambda and Gamma always pass the mixed rectangle (critical x
-non-critical), and F and B take the mixed pairs when the checker asks for
-them on behalf of a check that reads only those.  When the pair graph is
-subcritical, with fewer than one equal-label neighbour pair per pair of Pi
-on average (``Fsm.pair_branching``), few pairs are reachable from a few
-pairs.  The engine then searches the cone of ``within``, counts supports
-there as it visits them and runs the same removal loop on the cone only: a
+Every property reads its relations on the mixed pairs only (one critical
+and one non-critical state, in either order: ``Fsm.mixed``), except
+``eventual``, whose parameters are pinned to steps of the whole of F and
+B, and ``sets``, which prints whole series.  So a caller may name the
+pairs it reads as ``within``: Lambda and Gamma always pass the mixed
+pairs, and F and B take them when the checker asks for them on behalf of
+a check that reads only those.  When the pair graph is subcritical, with
+fewer than one equal-label neighbour pair per pair of Pi on average
+(``Fsm.pair_branching``), few pairs are reachable from a few pairs.  The
+engine then searches the cone of ``within``, counts supports there as it
+visits them and runs the same removal loop on the cone only: a
 cone-of-influence reduction (Clarke, Grumberg & Peled, *Model Checking*,
 1999).  The cone is closed under supports, so every pair of it leaves at
 the same step as in the whole seed.  Otherwise, and without ``within``, the
@@ -108,14 +108,15 @@ def s_series(m: Fsm) -> FixpointSeries:
     breadth-first search of Pi from X0 x X0 cap Pi (:func:`_search`): each
     level after the first is a layer, and the fixed point is every pair
     reached.  The cost is linear in the transition pairs the search meets
-    rather than steps times relation size.  When X0 x X0 already covers Pi,
-    the seed is returned as the fixed point with no layers, and no pair is
-    decoded.  Liveness is not required.
+    rather than steps times relation size.  X0 x X0 cap Pi is Pi exactly
+    when every state is initial (Pi holds every diagonal pair); then Pi is
+    returned as the fixed point with no layers, and no pair is decoded.
+    Liveness is not required.
     """
     pi = m.pi
+    if len(m.initial) == m.universe.n:
+        return FixpointSeries(pi, pi, [])
     first = product_relation(m.universe, m.initial, m.initial) & pi
-    if first == pi:
-        return FixpointSeries(first, first, [])
     n = m.universe.n
     flags = bit_flags(pi.bits, n * n)
     levels = _search(flags, bit_indices(first.bits), n, m.adjacency[0])
@@ -202,9 +203,9 @@ def _shrink(m: Fsm, first: PairRelation, forward: bool,
     synchronous recursion, and the propagation costs O(edges of the pair
     graph inside R_1).  Memory is a flag byte and a w-byte count per pair.
 
-    ``within``, if given, holds the pairs the caller reads: the mixed
-    rectangle for Lambda and Gamma, and the mixed pairs for F and B when a
-    check reads only those.  When the pair graph is subcritical
+    ``within``, if given, holds the pairs the caller reads: the mixed pairs,
+    always for Lambda and Gamma and for F and B when a check reads only
+    those.  When the pair graph is subcritical
     (``Fsm.pair_branching`` below 1), so that few pairs are reachable from
     any given ones, the engine runs on the cone of ``within`` cap R_1 only
     (:func:`_cone_counts`) and returns the series seeded at R_1 cap cone.
@@ -290,23 +291,22 @@ def _avoid_seed(m: Fsm, s_star: PairRelation) -> PairRelation:
 
 
 def _masking_series(m: Fsm, s_star: PairRelation, forward: bool) -> ProjectedSeries:
-    """The avoiding recursion restricted, step by step, to the mixed
-    rectangle (critical x non-critical) and closed symmetrically.  The
-    closure is one-to-one there, so a layer is the base layer's mixed pairs
-    plus their transposes, and the series ends at the last base layer that
-    touches the rectangle.  Only the rectangle is read, so the base series
-    is asked for it as ``within`` and may cover only its cone."""
-    mixed = product_relation(m.universe, m.critical,
-                             [s for s in m.states if s not in m.critical])
-    base = _shrink(m, _avoid_seed(m, s_star), forward, within=mixed)
+    """The avoiding recursion restricted, step by step, to the mixed pairs
+    and closed symmetrically.  The seed's second state is never critical,
+    so its mixed pairs are those of the rectangle critical x non-critical,
+    on which the closure is one-to-one: a layer is the base layer's mixed
+    pairs plus their transposes, and the series ends at the last base layer
+    that touches the mixed pairs.  Only those are read, so the base series
+    is asked for them as ``within`` and may cover only their cone."""
+    base = _shrink(m, _avoid_seed(m, s_star), forward, within=m.mixed)
     n = m.universe.n
-    inside = bit_flags(mixed.bits, n * n)
+    inside = bit_flags(m.mixed.bits, n * n)
     layers = [[q for p in layer if inside[p] for q in (p, p % n * n + p // n)]
               for layer in base.layers]
     while layers and not layers[-1]:
         layers.pop()
-    return ProjectedSeries((base.first & mixed).symmetric_closure(),
-                           (base.fixed_point & mixed).symmetric_closure(), layers)
+    return ProjectedSeries((base.first & m.mixed).symmetric_closure(),
+                           (base.fixed_point & m.mixed).symmetric_closure(), layers)
 
 
 def lambda_series(m: Fsm, s_star: PairRelation) -> ProjectedSeries:

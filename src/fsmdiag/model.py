@@ -131,6 +131,16 @@ class Fsm:
         return rel
 
     @cached_property
+    def mixed(self):
+        """The mixed pairs, ordered pairs with exactly one critical state, as
+        a PairRelation.  Built once per machine; the checks read their
+        relations on these pairs, and the masking recursions project onto
+        them."""
+        rest = [s for s in self.states if s not in self.critical]
+        return (product_relation(self.universe, self.critical, rest)
+                | product_relation(self.universe, rest, self.critical))
+
+    @cached_property
     def pair_branching(self):
         """The mean number of equal-label successor pairs per pair of Pi,
         the branching factor of the pair graph inside Pi: sum T(x, y)^2 over

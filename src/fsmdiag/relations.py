@@ -206,15 +206,6 @@ def product_relation(universe, left: Iterable[str], right: Iterable[str]) -> Pai
     return PairRelation(universe, bits)
 
 
-def same_block(universe, omega: Iterable[str]) -> PairRelation:
-    """(Omega x Omega) union (complement x complement): pairs on the same side."""
-    om = set(omega)
-    rest = [s for s in universe.states if s not in om]
-    inside = product_relation(universe, om, om)
-    outside = product_relation(universe, rest, rest)
-    return inside | outside
-
-
 @dataclass(frozen=True)
 class FixpointSeries:
     """Trace of a monotone pair-relation recursion in O(|X|^2) memory.

@@ -33,7 +33,7 @@ def test_every_relation_holds_the_machine_universe(name, request):
     # the two universes are equal (same states) but not the same object
     assert a.restricted.universe is not a.m.universe
     for universe, relations, series in (
-            (a.m.universe, [a.pi, a.block], [a.s, a.f, a.b, a.lam, a.gam]),
+            (a.m.universe, [a.pi, a.m.mixed], [a.s, a.f, a.b, a.lam, a.gam]),
             (a.restricted.universe, [], [a.s_tilde, a.b_tilde])):
         for s in series:
             relations += [*s, s.first, s.fixed_point]
@@ -216,7 +216,7 @@ class TestEventualObs:
             holding += 1
             assert calls == []
             a = Analysis(m)
-            assert v == checker._verdict(PropertyKind.EVENTUAL_OBS, a.b.fixed_point - a.block,
+            assert v == checker._verdict(PropertyKind.EVENTUAL_OBS, a.b.fixed_point & a.m.mixed,
                                          "backward-indistinguishable mixed pair",
                                          lambda: checker._frontier(a.lam.first, b=a.b, g=a.gam))
             calls.clear()
@@ -385,13 +385,13 @@ FAILURES = {
              "jointly reachable and forward-maskable"),
     "eventual": (lambda a: a.gam.fixed_point & a.lam.fixed_point,
                  "backward-maskable and forward-maskable"),
-    "eventual-obs": (lambda a: a.b.fixed_point - a.block,
+    "eventual-obs": (lambda a: a.b.fixed_point & a.m.mixed,
                      "backward-indistinguishable mixed pair"),
-    "critical-obs": (lambda a: a.s.fixed_point - a.block, "jointly reachable mixed pair"),
-    "exact-step": (lambda a: (a.b.fixed_point & a.f.fixed_point) - a.block,
+    "critical-obs": (lambda a: a.s.fixed_point & a.m.mixed, "jointly reachable mixed pair"),
+    "exact-step": (lambda a: a.b.fixed_point & a.f.fixed_point & a.m.mixed,
                    "persistent mixed pair"),
-    "initial-obs": (lambda a: (product_relation(a.m.universe, a.m.initial, a.m.initial)
-                               - a.block) & a.f.fixed_point,
+    "initial-obs": (lambda a: product_relation(a.m.universe, a.m.initial, a.m.initial)
+                    & a.m.mixed & a.f.fixed_point,
                     "forward-indistinguishable initial mixed pair"),
 }
 

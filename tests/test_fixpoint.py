@@ -5,7 +5,6 @@ import pytest
 from fsmdiag import (
     Analysis, Fsm, PairRelation, PreconditionError, Universe, UsageError, b_series,
     build_restricted, check, enum_relation, f_series, gamma_series, lambda_series, s_series,
-    same_block,
 )
 from fsmdiag import checker, cli, fixpoint
 from conftest import sym, theta
@@ -233,7 +232,7 @@ def ring_machine(labels, steps):
 
 
 class TestEnginePath:
-    """Lambda and Gamma ask the shrink engine for the mixed rectangle only,
+    """Lambda and Gamma ask the shrink engine for the mixed pairs only,
     and F and B, called without ``within``, for all of their seed; the
     engine searches the cone of the pairs asked for when the pair graph is
     subcritical.  The checks that read F, B and B~ on mixed pairs only ask
@@ -313,6 +312,15 @@ class TestEnginePath:
             ("f", "product"), ("b", "product")]
         assert "F (converges at" in capsys.readouterr().out
 
+    def test_critical_builds_f_once_when_diag_holds(self, monkeypatch):
+        # eventual builds the whole of F, and diag's scan reads it there
+        # rather than building F again on the cone of the mixed pairs
+        m = ring_machine("abcdefgh", [(2,), (5,)])
+        a = Analysis(m)
+        assert self.builds(monkeypatch, m, lambda: check(m, "critical", a)) == [
+            ("b", "product"), ("f", "product")]
+        assert check(m, "diag", a).holds and check(m, "critical", a).holds
+
     def test_one_analysis_builds_each_view_once(self, monkeypatch):
         m = ring_machine("abcdefgh", [(2,), (5,)])
         a = Analysis(m)
@@ -334,7 +342,7 @@ class TestEnginePath:
 def test_views_agree_with_the_whole_series_on_their_pairs(m1, m2, fork):
     # F and B asked for the mixed pairs are exact there, on either path
     for m in (m1, m2, fork, ring_machine("abcdefgh", [(2,), (5,)])):
-        mixed = same_block(m.universe, m.critical).complement()
+        mixed = m.mixed
         s_star = s_series(m).fixed_point
         for view, whole in ((f_series(m, mixed), f_series(m)),
                             (b_series(m, s_star, mixed), b_series(m, s_star))):

@@ -32,6 +32,14 @@ class TestFsm:
         with pytest.raises(UsageError):
             m2.replace(bogus=1)
 
+    def test_mixed(self):
+        m = Fsm("abc", "a", {s: "x" for s in "abc"}, [], critical="a")
+        assert set(m.mixed.pairs()) == {("a", "b"), ("a", "c"), ("b", "a"), ("c", "a")}
+        assert m.mixed is m.mixed
+        # with no critical state, or every state critical, no pair is mixed
+        assert not m.replace(critical=frozenset()).mixed
+        assert not m.replace(critical=frozenset("abc")).mixed
+
     def test_equality_and_hash(self, m1):
         assert m1 == make_copy(m1)
         assert hash(m1) == hash(make_copy(m1))

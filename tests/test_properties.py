@@ -357,12 +357,12 @@ def _scan(a, prop):
     """(fixed relation, (B, F, Gamma, Lambda) series or None) of a property's
     frontier search."""
     full = PairRelation.full(a.m.universe)
-    mixed_init = product_relation(a.m.universe, a.m.initial, a.m.initial) - a.block
+    mixed_init = product_relation(a.m.universe, a.m.initial, a.m.initial) & a.m.mixed
     return {"parametric": (full, (a.b_tilde, a.f, None, a.lam)),
             "diag": (a.s_tilde.fixed_point, (None, a.f, None, a.lam)),
             "eventual": (full, (a.b, a.f, a.gam, a.lam)),
             "eventual-obs": (a.pi & a.lam.at(1), (a.b, None, a.gam, None)),
-            "exact-step": (a.block.complement(), (a.b, a.f, None, None)),
+            "exact-step": (a.m.mixed, (a.b, a.f, None, None)),
             "initial-obs": (mixed_init, (None, a.f, None, None))}[prop]
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fsmdiag import PairRelation, Universe, UsageError, product_relation, same_block
+from fsmdiag import PairRelation, Universe, UsageError, product_relation
 from fsmdiag.relations import FixpointSeries, bit_flags, bit_indices, flag_bits
 
 STATES = ("a", "b", "c")
@@ -109,15 +109,6 @@ def test_product_relation():
     r = product_relation(U, ["a", "b"], ["c"])
     assert set(r.pairs()) == {("a", "c"), ("b", "c")}
     assert len(product_relation(U, STATES, STATES)) == 9
-
-
-def test_same_block():
-    r = same_block(U, ["a"])
-    assert ("a", "a") in r
-    assert ("b", "c") in r
-    assert ("a", "b") not in r
-    # empty block: everything is on the same side
-    assert len(same_block(U, [])) == 9
 
 
 def pair_index(p):
