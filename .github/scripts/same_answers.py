@@ -15,12 +15,17 @@ that is removed afterwards.  On each machine the commands are
 Besides, ``observe FILE --property P --json --trace SYMBOLS`` runs for the
 four properties the estimator serves on each many-labels walk, and
 ``oracle FILE --property P --json --horizon 6`` for the eight properties
-on each fixture.  Each tree runs all of them in one Python process with
-that tree on the path and its own working directory, calling
-``fsmdiag.cli.main`` per command and capturing its exit code, stdout,
-stderr and the text of each file it names after ``-o`` or
-``--provenance``.  Prints every command on which the two differ; exits 1
-if any does and 0 otherwise.
+on each fixture.  On each fixture ``check FILE --property eventual --json``
+also runs with ``--initial`` and ``--critical`` overrides, some naming a
+declared state and some not.  Last, ``validate FILE --json`` and
+``check FILE --property eventual --json`` run on each file of a malformed
+corpus written to the temporary directory: one text per way the loader
+refuses a file, a file that is not UTF-8 and an empty file.  Each tree
+runs all of them in one Python process with that tree on the path and
+its own working directory, calling ``fsmdiag.cli.main`` per command and
+capturing its exit code, stdout, stderr and the text of each file it
+names after ``-o`` or ``--provenance``.  Prints every command on which
+the two differ; exits 1 if any does and 0 otherwise.
 """
 
 import argparse
@@ -67,6 +72,35 @@ json.dump(out, sys.__stdout__)
 """
 
 
+# One malformed model per way the loader refuses a file: each branch of
+# the parser, the constructor's one refusal a file can reach, a file that
+# is not UTF-8 and an empty one.  A leading byte-order mark is left out:
+# trees from before it was accepted refuse it, so its answer differs on
+# purpose.
+MALFORMED = {
+    "no-header": b"state a output=x\n",
+    "spaced-header": b"fsm  v1\nstate a output=x\n",
+    "comments-only": b"# one\n\n  # two\n",
+    "no-state": b"fsm v1\n",
+    "state-short": b"fsm v1\nstate a\n",
+    "state-cut-by-comment": b"fsm v1\nstate a#c output=x\n",
+    "duplicate-state": b"fsm v1\r\nstate a output=x\r\nstate a output=y\r\n",
+    "repeated-output": b"fsm v1\nstate a output=x output=y\n",
+    "unknown-attribute": b"fsm v1\nstate a output=x frobnicate\n",
+    "empty-output": b"fsm v1\nstate a output= init\n",
+    "trans-short": b"fsm v1\nstate a output=x\ntrans a\n",
+    "trans-undeclared": b"fsm v1\nstate a output=x\ntrans a b\n",
+    "trans-before-state": b"fsm v1\ntrans a a\nstate a output=x init\n",
+    "unknown-directive": b"fsm v1\nfrobnicate a\n",
+    "not-utf8": b"fsm v1\nstate a output=\xff init\ntrans a a\n",
+    "empty": b"",
+}
+# --initial / --critical on each fixture: the first state it declares, a
+# state it does not declare, and both at once
+OVERRIDES = (["--initial", "{s}"], ["--critical", "{s}"], ["--initial", "{s}", "--critical", ""],
+             ["--initial", "zz"], ["--critical", "{s},zz"], ["--initial", "yy", "--critical", "zz"])
+
+
 def fixtures():
     return sorted(glob.glob(os.path.join(ROOT, "tests", "fixtures", "*.fsm")))
 
@@ -83,9 +117,14 @@ def walks(directory):
         yield path, " ".join(label[s] for s in walk)
 
 
+def first_state(path):
+    with open(path, encoding="utf-8") as fh:
+        return next(t[1] for t in map(str.split, fh) if t[:1] == ["state"])
+
+
 def commands(tmp):
     """Every command to run, on the fixtures and on the workload machines
-    written under ``tmp``."""
+    and malformed files written under ``tmp``."""
     files, runs = fixtures(), []
     for workload in WORKLOADS:
         for seed in SEEDS:
@@ -103,8 +142,20 @@ def commands(tmp):
         runs += [["validate", path, "--json", "--mode", mode] for mode in ("analysis", "desilent")]
         runs.append(["desilent", path, "--json", "-o", "out%d.fsm" % k,
                      "--provenance", "prov%d.json" % k])
-    return runs + [["oracle", path, "--property", p, "--json", "--horizon", "6"]
-                   for path in fixtures() for p in PROPERTIES]
+    runs += [["oracle", path, "--property", p, "--json", "--horizon", "6"]
+             for path in fixtures() for p in PROPERTIES]
+    for path in fixtures():
+        s = first_state(path)
+        runs += [["check", path, "--property", "eventual", "--json"]
+                 + [arg.format(s=s) for arg in override] for override in OVERRIDES]
+    directory = os.path.join(tmp, "malformed")
+    os.mkdir(directory)
+    for name, data in sorted(MALFORMED.items()):
+        path = os.path.join(directory, name + ".fsm")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        runs += [["validate", path, "--json"], ["check", path, "--property", "eventual", "--json"]]
+    return runs
 
 
 def answers(src, commands, cwd):

@@ -56,41 +56,73 @@ class Fsm:
         states = tuple(sorted(set(states)))
         if not states:
             raise UsageError("a machine needs at least one state")
-        known = set(states)
-        initial = frozenset(initial)
-        critical = frozenset(critical)
-        label = dict(label)
-        trans = frozenset(tuple(t) for t in trans)
-        if not initial <= known:
-            raise UsageError("initial states %s not declared" % sorted(initial - known))
-        if not critical <= known:
-            raise UsageError("critical states %s not declared" % sorted(critical - known))
-        if set(label) != known:
-            raise UsageError("states without output label or labels without state: %s"
-                             % sorted(known ^ set(label), key=str))
-        for s in states:
-            if not (_is_token(s) and _is_token(label[s])):
-                raise UsageError("state %r and output label %r must be tokens: nonempty, "
-                                 "without whitespace or '#'" % (s, label[s]))
-        for (a, b) in trans:
-            if a not in known or b not in known:
-                raise UsageError("transition (%s, %s) uses undeclared states" % (a, b))
         self.states = states
         self.universe = Universe(states)
-        self.initial = initial
+        self._set_initial(initial)
+        self._set_critical(critical)
+        self._set_label(label)
+        self._set_trans(trans)
+
+    # Each field is checked and set by one helper, which the constructor
+    # calls in this order and ``replace`` calls for the fields it overrides.
+
+    def _declared(self, what, chosen):
+        chosen = frozenset(chosen)
+        if not chosen <= self.universe.index.keys():
+            raise UsageError("%s states %s not declared"
+                             % (what, sorted(chosen - set(self.states))))
+        return chosen
+
+    def _set_initial(self, initial):
+        self.initial = self._declared("initial", initial)
+
+    def _set_critical(self, critical):
+        self.critical = self._declared("critical", critical)
+
+    def _set_label(self, label):
+        label = dict(label)
+        states = self.states
+        if label.keys() != self.universe.index.keys():
+            raise UsageError("states without output label or labels without state: %s"
+                             % sorted(set(states) ^ set(label), key=str))
+        # every id and label is a token iff their join splits back into them
+        items = [*states, *map(label.__getitem__, states)]
+        try:
+            text = " ".join(items)
+        except TypeError:
+            text = "#"
+        if "#" in text or text.split() != items:
+            for s in states:
+                if not (_is_token(s) and _is_token(label[s])):
+                    raise UsageError("state %r and output label %r must be tokens: nonempty, "
+                                     "without whitespace or '#'" % (s, label[s]))
         self.label = label
+        self.outputs = frozenset(label.values()) - {EPSILON}
+
+    def _set_trans(self, trans):
+        # each state's successors and predecessors as lists, in one pass;
+        # ``succ`` and ``pre`` read them as frozensets built on first use
+        trans = frozenset(map(tuple, trans))
+        succ = {s: [] for s in self.states}
+        pre = {s: [] for s in self.states}
+        try:
+            for a, b in trans:
+                succ[a].append(b)
+                pre[b].append(a)
+        except KeyError:
+            raise UsageError("transition (%s, %s) uses undeclared states" % (a, b)) from None
         self.trans = trans
-        self.critical = critical
-        self.outputs = frozenset(v for v in label.values() if v != EPSILON)
-        succ = {s: set() for s in states}
-        pre = {s: set() for s in states}
-        for (a, b) in trans:
-            succ[a].add(b)
-            pre[b].add(a)
-        self._succ = {s: frozenset(v) for s, v in succ.items()}
-        self._pre = {s: frozenset(v) for s, v in pre.items()}
+        self._succ_lists, self._pre_lists = succ, pre
 
     # -- basic queries -----------------------------------------------------
+
+    @cached_property
+    def _succ(self):
+        return {s: frozenset(v) for s, v in self._succ_lists.items()}
+
+    @cached_property
+    def _pre(self):
+        return {s: frozenset(v) for s, v in self._pre_lists.items()}
 
     def succ(self, i):
         """Successor set of state i."""
@@ -111,11 +143,11 @@ class Fsm:
         """``(succ, pre)``: for each state by its position in ``states``, the
         sorted positions of its successors (resp. predecessors).  Built once
         per machine; the fixed-point engines walk the pair graph over it."""
-        index = self.universe.index
+        position = self.universe.index.__getitem__
 
         def positions(step):
-            return tuple(tuple(sorted(index[t] for t in step(s))) for s in self.states)
-        return positions(self.succ), positions(self.pre)
+            return tuple(tuple(sorted(map(position, v))) for v in step.values())
+        return positions(self._succ_lists), positions(self._pre_lists)
 
     @cached_property
     def pi(self):
@@ -161,7 +193,7 @@ class Fsm:
         index = {}
         for s in self.states:
             groups = {}
-            for t in self._succ[s]:
+            for t in self._succ_lists[s]:
                 groups.setdefault(self.label[t], set()).add(t)
             index[s] = {y: frozenset(ts) for y, ts in groups.items()}
         return index
@@ -174,19 +206,25 @@ class Fsm:
         return frozenset(s for s in self.states if self.label[s] == EPSILON)
 
     def replace(self, **kw):
-        """Copy with some fields overridden (initial, critical, trans, label)."""
-        args = dict(
-            states=self.states,
-            initial=self.initial,
-            label=self.label,
-            trans=self.trans,
-            critical=self.critical,
-        )
-        bad = set(kw) - set(args)
+        """Copy with some fields overridden (initial, critical, trans, label).
+
+        A copy that keeps the states shares this machine's universe and
+        every attribute, cached or not, that ``_BUILT_FROM`` says is built
+        from none of the overridden fields, and checks only those fields."""
+        bad = kw.keys() - _FIELDS
         if bad:
             raise UsageError("cannot override %s" % sorted(bad))
-        args.update(kw)
-        return Fsm(**args)
+        if "states" in kw:
+            args = {f: getattr(self, f) for f in _FIELDS}
+            args.update(kw)
+            return Fsm(**args)
+        copy = object.__new__(Fsm)
+        copy.__dict__.update((k, v) for k, v in vars(self).items()
+                             if k in _BUILT_FROM and kw.keys().isdisjoint(_BUILT_FROM[k]))
+        for field in ("initial", "critical", "label", "trans"):
+            if field in kw:
+                getattr(copy, "_set_" + field)(kw[field])
+        return copy
 
     def __eq__(self, other):
         if not isinstance(other, Fsm):
@@ -208,24 +246,52 @@ class Fsm:
             len(self.states), len(self.trans), len(self.initial), len(self.critical))
 
 
+_FIELDS = frozenset(("states", "initial", "label", "trans", "critical"))
+
+#: The fields each attribute of an Fsm is built from, besides its states.
+#: ``Fsm.replace`` keeps an attribute only when it overrides none of them,
+#: and drops any attribute missing here.
+_BUILT_FROM = {
+    "states": (), "universe": (),
+    "initial": ("initial",), "critical": ("critical",), "mixed": ("critical",),
+    "label": ("label",), "outputs": ("label",), "pi": ("label",),
+    "trans": ("trans",), "_succ_lists": ("trans",), "_pre_lists": ("trans",),
+    "_succ": ("trans",), "_pre": ("trans",), "adjacency": ("trans",),
+    "pair_branching": ("label", "trans"), "succ_by_label": ("label", "trans"),
+}
+
+
 # -- text format -----------------------------------------------------------
 
 def parse_fsm(text: str) -> Fsm:
     """Parse the line-oriented ``fsm v1`` format."""
-    lines = text.splitlines()
-    body = []
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            body.append((lineno, line))
-    if not body or body[0][1] != "fsm v1":
+    lines = enumerate(text.splitlines(), 1)
+    header = None
+    for lineno, raw in lines:
+        header = raw.split("#", 1)[0].strip()
+        if header:
+            break
+    if header != "fsm v1":
         raise ParseError("missing 'fsm v1' header")
-    states, initial, critical, label = [], set(), set(), {}
-    trans = set()
-    for lineno, line in body[1:]:
-        toks = line.split()
+    # ids maps each declared state id to itself, so that a transition holds
+    # the very strings of its states and every later lookup of them meets
+    # the same object
+    ids, initial, critical, label, trans = {}, set(), set(), {}, []
+    for lineno, raw in lines:
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        toks = raw.split()
+        if not toks:
+            continue
         kind = toks[0]
-        if kind == "state":
+        if kind == "trans":
+            if len(toks) != 3:
+                raise ParseError("line %d: trans needs exactly two states" % lineno)
+            try:
+                trans.append((ids[toks[1]], ids[toks[2]]))
+            except KeyError:
+                raise ParseError("line %d: trans references undeclared state" % lineno) from None
+        elif kind == "state":
             if len(toks) < 3:
                 raise ParseError("line %d: state needs an id and output=" % lineno)
             sid = toks[1]
@@ -245,19 +311,12 @@ def parse_fsm(text: str) -> Fsm:
                     raise ParseError("line %d: unknown attribute %r" % (lineno, flag))
             if not out:
                 raise ParseError("line %d: state %r has no output=" % (lineno, sid))
-            states.append(sid)
+            ids[sid] = sid
             label[sid] = out
-        elif kind == "trans":
-            if len(toks) != 3:
-                raise ParseError("line %d: trans needs exactly two states" % lineno)
-            a, b = toks[1], toks[2]
-            if a not in label or b not in label:
-                raise ParseError("line %d: trans references undeclared state" % lineno)
-            trans.add((a, b))
         else:
             raise ParseError("line %d: unknown directive %r" % (lineno, kind))
     try:
-        return Fsm(states, initial, label, trans, critical)
+        return Fsm(ids, initial, label, trans, critical)
     except UsageError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -284,7 +343,8 @@ def load_fsm(path) -> Fsm:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError("%s is not UTF-8 text (byte %d)" % (path, exc.start)) from None
-    return parse_fsm(text)
+    # a leading byte-order mark marks the encoding and is no part of the text
+    return parse_fsm(text.removeprefix("\ufeff"))
 
 
 # -- validation ------------------------------------------------------------
@@ -374,8 +434,8 @@ def validate(m: Fsm, mode: str = "analysis") -> ValidationReport:
         raise UsageError("unknown validation mode %r" % mode)
     entries = []
     if mode == "analysis":
-        for s in m.states:
-            if not m.succ(s):
+        for s, after in m._succ_lists.items():
+            if not after:
                 entries.append(Violation("liveness", "error", s,
                                          "state %s has no successor" % s))
         for s in m.states:
@@ -393,9 +453,8 @@ def validate(m: Fsm, mode: str = "analysis") -> ValidationReport:
             if m.is_silent(s):
                 entries.append(Violation("silent-initial", "error", s,
                                          "initial state %s is silent" % s))
-        for s in m.states:
-            no_pre = not m.pre(s)
-            if no_pre != (s in m.initial):
+        for s, before in m._pre_lists.items():
+            if (not before) != (s in m.initial):
                 entries.append(Violation("initial-predecessor-mismatch", "warning", s,
                                          "state %s: initial membership does not match "
                                          "absence of predecessors" % s))
@@ -434,8 +493,8 @@ def build_restricted(m: Fsm) -> Fsm:
     The result may fail liveness; downstream reachability computations do not
     depend on it.
     """
-    keep = frozenset((a, b) for (a, b) in m.trans if a not in m.critical)
-    return m.replace(trans=keep)
+    critical = m.critical
+    return m.replace(trans=[t for t in m.trans if t[0] not in critical])
 
 
 def enumerate_executions(m: Fsm, sources: Iterable[str], length: int,

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from fsmdiag import (
@@ -6,6 +8,58 @@ from fsmdiag import (
     is_execution, load_fsm, output_of, parse_fsm, validate,
 )
 from conftest import fixture_path
+
+
+# keyword arguments the constructor refuses, with its message
+REJECTED = [
+    (dict(states=[], initial=[], label={}, trans=[]),
+     "a machine needs at least one state"),
+    (dict(states=["a b"], initial=[], label={"a b": "x"}, trans=[]),
+     "state 'a b' and output label 'x' must be tokens"),
+    (dict(states=["a#"], initial=[], label={"a#": "x"}, trans=[]),
+     "state 'a#' and output label 'x' must be tokens"),
+    (dict(states=["a"], initial=[], label={"a": ""}, trans=[]),
+     "state 'a' and output label '' must be tokens"),
+    (dict(states=["a"], initial=[], label={"a": "x y"}, trans=[]),
+     "state 'a' and output label 'x y' must be tokens"),
+    (dict(states=["a"], initial=[], label={"a": "x#"}, trans=[]),
+     "state 'a' and output label 'x#' must be tokens"),
+    (dict(states=["a"], initial=[], label={"a": 1}, trans=[]),
+     "state 'a' and output label 1 must be tokens"),
+    (dict(states=["a"], initial=[], label={"a": "x", "b": "y"}, trans=[]),
+     "states without output label or labels without state: ['b']"),
+    (dict(states=["a"], initial=["z"], label={"a": "x"}, trans=[]),
+     "initial states ['z'] not declared"),
+    (dict(states=["a"], initial=[], label={}, trans=[]),
+     "states without output label or labels without state: ['a']"),
+    (dict(states=["a"], initial=[], label={"a": "x"}, trans=[("a", "z")]),
+     "transition (a, z) uses undeclared states"),
+    (dict(states=["a"], initial=[], label={"a": "x"}, trans=[], critical=["z"]),
+     "critical states ['z'] not declared"),
+]
+
+
+# texts the parser refuses, with its message
+PARSE_ERRORS = {
+    "": "missing 'fsm v1' header",
+    "state a output=x\n": "missing 'fsm v1' header",
+    "fsm  v1\nstate a output=x\n": "missing 'fsm v1' header",
+    "# only\n\n   # comments\n": "missing 'fsm v1' header",
+    "fsm v1\n": "a machine needs at least one state",
+    "fsm v1\nstate a\n": "line 2: state needs an id and output=",
+    "fsm v1\nstate a#c output=x init\n": "line 2: state needs an id and output=",
+    "fsm v1\nstate a output= init\n": "line 2: state 'a' has no output=",
+    "fsm v1\nstate a output=x\nstate a output=y\n": "line 3: duplicate state 'a'",
+    "fsm v1\r\n\r\nstate a output=x\r\nstate a output=y\r\n":
+        "line 4: duplicate state 'a'",
+    "fsm v1\nstate a output=x frobnicate\n": "line 2: unknown attribute 'frobnicate'",
+    "fsm v1\nstate a output=x\ntrans a b\n": "line 3: trans references undeclared state",
+    "fsm v1\ntrans a a\nstate a output=x\n":
+        "line 2: trans references undeclared state",
+    "fsm v1\ntrans a\n": "line 2: trans needs exactly two states",
+    "fsm v1\nfrobnicate a\n": "line 2: unknown directive 'frobnicate'",
+    "fsm v1\nstate a output=x output=y\n": "line 2: state 'a' repeats output=",
+}
 
 
 class TestFsm:
@@ -45,23 +99,12 @@ class TestFsm:
         assert hash(m1) == hash(make_copy(m1))
         assert m1 != m1.replace(critical=frozenset())
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(states=[], initial=[], label={}, trans=[]),
-        dict(states=["a b"], initial=[], label={"a b": "x"}, trans=[]),
-        dict(states=["a#"], initial=[], label={"a#": "x"}, trans=[]),
-        dict(states=["a"], initial=[], label={"a": ""}, trans=[]),
-        dict(states=["a"], initial=[], label={"a": "x y"}, trans=[]),
-        dict(states=["a"], initial=[], label={"a": "x#"}, trans=[]),
-        dict(states=["a"], initial=[], label={"a": 1}, trans=[]),
-        dict(states=["a"], initial=[], label={"a": "x", "b": "y"}, trans=[]),
-        dict(states=["a"], initial=["z"], label={"a": "x"}, trans=[]),
-        dict(states=["a"], initial=[], label={}, trans=[]),
-        dict(states=["a"], initial=[], label={"a": "x"}, trans=[("a", "z")]),
-        dict(states=["a"], initial=[], label={"a": "x"}, trans=[], critical=["z"]),
-    ])
-    def test_constructor_rejects(self, kwargs):
-        with pytest.raises(UsageError):
+    @pytest.mark.parametrize("kwargs, message", REJECTED,
+                             ids=["kwargs%d" % i for i in range(len(REJECTED))])
+    def test_constructor_rejects(self, kwargs, message):
+        with pytest.raises(UsageError, match=re.escape(message)):
             Fsm(**kwargs)
+
 
 
 def make_copy(m):
@@ -84,21 +127,26 @@ class TestTextFormat:
                       "trans a a\n")
         assert m.states == ("a",)
         assert m.initial == {"a"}
+        # a '#' glued to a token starts a comment all the same
+        m = parse_fsm("fsm v1\nstate a output=x#c init\ntrans a a\n")
+        assert m.label == {"a": "x"}
+        assert m.initial == set()
 
-    @pytest.mark.parametrize("text", [
-        "",
-        "state a output=x\n",                    # no header
-        "fsm v1\nstate a\n",                     # missing output=
-        "fsm v1\nstate a output=x\nstate a output=y\n",
-        "fsm v1\nstate a output=x frobnicate\n",
-        "fsm v1\nstate a output=x\ntrans a b\n",
-        "fsm v1\ntrans a\n",
-        "fsm v1\nfrobnicate a\n",
-        "fsm v1\nstate a output=x output=y\n",   # output= twice
-    ])
+    @pytest.mark.parametrize("text", list(PARSE_ERRORS))
     def test_parse_errors(self, text):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             parse_fsm(text)
+        assert str(exc.value) == PARSE_ERRORS[text]
+
+    def test_load_skips_a_byte_order_mark(self, tmp_path, m1):
+        path = tmp_path / "bom.fsm"
+        path.write_bytes(b"\xef\xbb\xbf" + fsm_to_text(m1).encode())
+        assert load_fsm(path) == m1
+        # the offset of a bad byte still counts the mark's three bytes
+        path.write_bytes(b"\xef\xbb\xbffsm v1\n\xff\n")
+        with pytest.raises(ParseError) as exc:
+            load_fsm(path)
+        assert str(exc.value) == "%s is not UTF-8 text (byte 10)" % path
 
     def test_silent_output_round_trips(self, silent_machine):
         text = fsm_to_text(silent_machine)

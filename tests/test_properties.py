@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import cached_property
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -74,6 +75,43 @@ def test_machine_is_rejected_or_survives_text(ids, data):
     except UsageError:
         return
     assert parse_fsm(fsm_to_text(m)) == m
+
+
+# every cached property of a machine, those added later included
+CACHED = sorted(k for k, v in vars(Fsm).items() if isinstance(v, cached_property))
+
+
+def cached_values(m):
+    return {name: getattr(m, name) for name in CACHED}
+
+
+@given(machines(allow_silent=True), st.data())
+@COMMON
+def test_replace_matches_the_constructor(m, data):
+    cached_values(m)    # so that replace has every cached value to keep or drop
+    fields = dict(states=m.states, initial=m.initial, label=m.label, trans=m.trans,
+                  critical=m.critical)
+    state = st.sampled_from(m.states)
+    draw = {"initial": st.sets(state), "critical": st.sets(state),
+            "trans": st.sets(st.tuples(state, state)),
+            "label": st.fixed_dictionaries({s: st.sampled_from("ab_") for s in m.states})}
+    overridden = sorted(data.draw(st.sets(st.sampled_from(sorted(draw)))))
+    kw = {f: data.draw(draw[f]) for f in overridden}
+    copy, built = m.replace(**kw), Fsm(**{**fields, **kw})
+    assert copy == built
+    assert cached_values(copy) == cached_values(built)
+    # an override naming an undeclared state is refused with the same message
+    field = data.draw(st.sampled_from(sorted(draw)))
+    bad = {"initial": {*kw.get("initial", ()), "zz"},
+           "critical": {*kw.get("critical", ()), "zz"},
+           "trans": {*kw.get("trans", ()), ("zz", m.states[0])},
+           "label": {**kw.get("label", m.label), "zz": "a"}}[field]
+    kw[field] = bad
+    with pytest.raises(UsageError) as refused:
+        m.replace(**kw)
+    with pytest.raises(UsageError) as expected:
+        Fsm(**{**fields, **kw})
+    assert str(refused.value) == str(expected.value)
 
 
 @given(analysis_machines())
