@@ -8,7 +8,7 @@ writes for every workload at seeds 1 and 4242, into a temporary directory
 that is removed afterwards.  On each machine the commands are
 
 * ``check FILE --property P --json`` for the eight properties;
-* ``sets FILE --json --steps``;
+* ``sets FILE --json --steps`` and ``sets FILE --steps``;
 * ``validate FILE --json --mode M`` for both modes;
 * ``desilent FILE --json -o OUT --provenance PROV``.
 
@@ -138,7 +138,7 @@ def commands(tmp):
                      for path, symbols in walks(directory) for p in OBSERVED]
     for k, path in enumerate(files):
         runs += [["check", path, "--property", p, "--json"] for p in PROPERTIES]
-        runs.append(["sets", path, "--json", "--steps"])
+        runs += [["sets", path, "--json", "--steps"], ["sets", path, "--steps"]]
         runs += [["validate", path, "--json", "--mode", mode] for mode in ("analysis", "desilent")]
         runs.append(["desilent", path, "--json", "-o", "out%d.fsm" % k,
                      "--provenance", "prov%d.json" % k])

@@ -11,6 +11,7 @@ import functools
 import json
 import os
 import sys
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -20,6 +21,7 @@ from .epsremoval import desilent
 from .errors import BudgetExceededError, FsmDiagError, ParseError, UsageError
 from .model import fsm_to_text, load_fsm, validate
 from .oracle import Horizon, check_definition
+from .relations import bit_flags
 
 def _state_list(text):
     return [t for t in text.replace(",", " ").split() if t]
@@ -34,45 +36,76 @@ def _load(args):
     return m
 
 
+def _rows(rel, prefix, sep, suffix):
+    """One string per nonempty row i of ``rel``'s bit matrix:
+    ``prefix[i] + sep[i].join(suffix[j] for each pair (i, j))``, each table
+    indexed by state position.  Rows and columns run in universe order, so
+    the rows list the pairs in ``rel.pairs()`` order."""
+    n = rel.universe.n
+    flags = bit_flags(rel.bits, n * n)
+    rows = []
+    for i in range(n):
+        row = flags[i * n:i * n + n]
+        if 1 in row:
+            rows.append(prefix[i] + sep[i].join(compress(suffix, row)))
+    return rows
+
+
 def _sets_json(payload):
-    """``json.dumps(payload, indent=2, sort_keys=True)`` for ``cmd_sets``'
-    payload: relation name -> ``convergence_step``, ``fixed_point`` and,
-    with --steps, ``steps``, each relation a list of (str, str) pairs.
+    """``json.dumps(decoded, indent=2, sort_keys=True)`` for ``cmd_sets``'
+    payload, ``decoded`` being the payload with each relation replaced by
+    its ``pairs()``.  The payload maps a relation name to
+    ``convergence_step``, ``fixed_point`` (a ``PairRelation``) and, with
+    --steps, ``steps`` (an iterable of them, read once).
 
     An indent sends ``json.dumps`` through its pure-Python encoder, one call
-    per pair and per state.  Here each list of pairs is one join, in which
-    each distinct state's JSON string is encoded once, and the pieces are
-    joined once at the end: no relation or list of steps is rendered to a
-    string of its own, which would copy the text of every list inside it.
+    per pair and per state.  Here each relation is its bit rows (``_rows``),
+    from tables built once per universe and indent depth, in which each
+    state's JSON string is encoded once per universe.  Each row is one piece
+    of the output and the pieces are joined once at the end: no relation or
+    list of steps is rendered to a string of its own, which would copy the
+    text of every row inside it.
     """
-    encoded = functools.cache(encode_basestring_ascii)
+    encoded = functools.cache(lambda universe: [encode_basestring_ascii(s)
+                                                for s in universe.states])
+
+    @functools.cache
+    def tables(universe, newline):
+        inner, item = newline + "  ", newline + "    "
+        prefix = ["[" + item + e + "," + item for e in encoded(universe)]
+        return (prefix, ["," + inner + p for p in prefix],
+                [e + inner + "]" for e in encoded(universe)])
+
     out = []
 
-    def pairs(seq, newline):
-        if not seq:
+    def relation(rel, newline):
+        rows = _rows(rel, *tables(rel.universe, newline))
+        if not rows:
             out.append("[]")
             return
-        firsts, seconds = zip(*seq)
-        inner, item = newline + "  ", newline + "    "
-        opens = {a: "[" + item + encoded(a) + "," + item for a in set(firsts)}
-        closes = {b: encoded(b) + inner + "]" for b in set(seconds)}
-        items = map(str.__add__, map(opens.__getitem__, firsts), map(closes.__getitem__, seconds))
-        # one string per list: keeping the join apart from its brackets
-        # raised peak RSS on few-labels by about 0.6 MiB (CHANGES.md)
-        out.append("[" + inner + ("," + inner).join(items) + newline + "]")
+        inner = newline + "  "
+        sep = "," + inner
+        # each row a piece of its own: joining the rows into one string per
+        # relation first raised peak RSS on many-labels by about 0.2 MiB
+        # (CHANGES.md)
+        out.append("[" + inner + rows[0])
+        for row in rows[1:]:
+            out.extend((sep, row))
+        out.append(newline + "]")
 
     for i, name in enumerate(sorted(payload)):
         entry = payload[name]
         out.append('%s%s: {\n    "convergence_step": %s,\n    "fixed_point": '
-                   % (",\n  " if i else "{\n  ", encoded(name),
+                   % (",\n  " if i else "{\n  ", encode_basestring_ascii(name),
                       json.dumps(entry["convergence_step"])))
-        pairs(entry["fixed_point"], "\n    ")
+        relation(entry["fixed_point"], "\n    ")
         if "steps" in entry:
-            out.append(',\n    "steps": ')
+            out.append(',\n    "steps": [')
+            k = -1
             for k, step in enumerate(entry["steps"]):
-                out.append(",\n      " if k else "[\n      ")
-                pairs(step, "\n      ")
-            out.append("\n    ]" if entry["steps"] else "[]")
+                out.append(",\n      " if k else "\n      ")
+                relation(step, "\n      ")
+            out.append("\n    ]" if k >= 0 else "]")
         out.append("\n  }")
     out.append("\n}" if payload else "{}")
     return "".join(out)
@@ -109,13 +142,22 @@ _SETS = {"Pi": "pi", "S": "s", "Stilde": "s_tilde", "F": "f", "B": "b",
 
 
 def _sets_lines(payload):
-    """The text form of ``cmd_sets``' payload, rendered only when printed."""
+    """The text form of ``cmd_sets``' payload, one line per relation and per
+    step, each rendered from its bit rows (``_rows``) when its line is."""
+    @functools.cache
+    def tables(universe):
+        prefix = ["(" + a + "," for a in universe.states]
+        return prefix, [" " + p for p in prefix], [b + ")" for b in universe.states]
+
+    def text(rel):
+        return " ".join(_rows(rel, *tables(rel.universe)))
+
     for name, entry in payload.items():
         conv = entry["convergence_step"]
         head = name if conv is None else "%s (converges at %d)" % (name, conv)
-        yield "%s: %s" % (head, " ".join("(%s,%s)" % p for p in entry["fixed_point"]))
+        yield "%s: %s" % (head, text(entry["fixed_point"]))
         for k, step in enumerate(entry.get("steps", ()), 1):
-            yield "  step %d: %s" % (k, " ".join("(%s,%s)" % p for p in step))
+            yield "  step %d: %s" % (k, text(step))
 
 
 def cmd_sets(args):
@@ -124,13 +166,13 @@ def cmd_sets(args):
     payload = {}
     for name in [args.set] if args.set else _SETS:
         if name == "Pi":
-            entry = {"fixed_point": a.pi.pairs(), "convergence_step": None}
+            entry = {"fixed_point": a.pi, "convergence_step": None}
         else:
             series = getattr(a, _SETS[name])
-            entry = {"fixed_point": series.fixed_point.pairs(),
+            entry = {"fixed_point": series.fixed_point,
                      "convergence_step": series.convergence_step}
             if args.steps:
-                entry["steps"] = [rel.pairs() for rel in series]
+                entry["steps"] = series
         payload[name] = entry
     for line in [_sets_json(payload)] if args.json else _sets_lines(payload):
         print(line)

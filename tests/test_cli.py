@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -6,9 +7,10 @@ import time
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
-from fsmdiag import FixpointSeries, checker, cli, load_fsm, max_silent_length, parse_fsm
+from fsmdiag import (FixpointSeries, PairRelation, Universe, checker, cli, load_fsm,
+                     max_silent_length, parse_fsm)
 from fsmdiag.cli import main
 from fsmdiag.fixpoint import ProjectedSeries
 from conftest import FIXTURES, fixture_path
@@ -540,15 +542,55 @@ def test_corrupted_files_exit_cleanly(capsys, tmp_path, data):
 
 # ASCII letters, JSON escapes, control characters and non-ASCII text
 json_text = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7f\u2028é€😀'), max_size=6)
-json_pairs = st.lists(st.tuples(json_text, json_text))
-#: payloads of the shape ``sets`` prints; ``sets`` never prints an empty
-#: one, but the renderer lays it out as ``{}``, so empty ones are drawn too
-sets_payloads = st.dictionaries(json_text, st.fixed_dictionaries(
-    {"convergence_step": st.none() | st.integers(), "fixed_point": json_pairs},
-    optional={"steps": st.lists(json_pairs)}))
 
 
-@given(sets_payloads)
+@st.composite
+def sets_payloads(draw):
+    """Payloads of the shape ``sets`` prints, over one drawn universe of
+    state names: relations as any bit integer, empty, one pair or full.
+    ``sets`` never prints an empty payload, but the JSON renderer lays it
+    out as ``{}``, so empty ones are drawn too."""
+    universe = Universe(draw(st.lists(json_text, unique=True, max_size=5)))
+    full = (1 << universe.n ** 2) - 1
+    bits = (st.integers(0, full) | st.sampled_from((0, full))
+            | st.integers(0, full.bit_length()).map(lambda i: 1 << i & full))
+    relations = bits.map(functools.partial(PairRelation, universe))
+    return draw(st.dictionaries(json_text, st.fixed_dictionaries(
+        {"convergence_step": st.none() | st.integers(), "fixed_point": relations},
+        optional={"steps": st.lists(relations)})))
+
+
+AB = Universe(("a", "b"))
+#: an empty fixed point, whose text line ends in ": ", after a full step,
+#: a one-pair step and an empty one
+EMPTIED = {"E": {"convergence_step": 3, "fixed_point": PairRelation(AB),
+                 "steps": [PairRelation.full(AB), PairRelation(AB, 0b0010), PairRelation(AB)]}}
+
+
+@given(sets_payloads())
+@example(EMPTIED)
 @settings(max_examples=200, deadline=None)
 def test_sets_json_matches_json_dumps(payload):
-    assert cli._sets_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    decoded = {}
+    for name, entry in payload.items():
+        decoded[name] = dict(entry, fixed_point=entry["fixed_point"].pairs())
+        if "steps" in entry:
+            decoded[name]["steps"] = [rel.pairs() for rel in entry["steps"]]
+    assert cli._sets_json(payload) == json.dumps(decoded, indent=2, sort_keys=True)
+
+
+@given(sets_payloads())
+@example(EMPTIED)
+@settings(max_examples=200, deadline=None)
+def test_sets_lines_match_pair_by_pair(payload):
+    def text(rel):
+        return " ".join("(%s,%s)" % p for p in rel.pairs())
+
+    expected = []
+    for name, entry in payload.items():
+        conv = entry["convergence_step"]
+        head = name if conv is None else "%s (converges at %d)" % (name, conv)
+        expected.append("%s: %s" % (head, text(entry["fixed_point"])))
+        expected += ["  step %d: %s" % (k, text(rel))
+                     for k, rel in enumerate(entry.get("steps", ()), 1)]
+    assert list(cli._sets_lines(payload)) == expected
