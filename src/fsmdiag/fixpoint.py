@@ -19,7 +19,10 @@ machine's integer adjacency (``Fsm.adjacency``).  Pi, the equal-output
 pairs, is built once per machine (``Fsm.pi``) and seeds or bounds S, F and
 B.  The pair graph is walked forward by one breadth-first search,
 ``_search``: S is the search of Pi from X0 x X0 cap Pi, one level per step,
-and the engine's cone (below) the search of R_1 from ``within``.  When
+and the engine's cone (below) the search of R_1 from ``within``.  Pi and
+X0 x X0 are closed under transposition, so S searches in the symmetric
+mode, expanding one pair of each {(i, j), (j, i)} and listing both in the
+same level; the cone's seeds are not, and it searches every pair.  When
 every state is initial, X0 x X0 covers Pi, and S returns Pi as its own
 fixed point with no layers, building no rectangle and decoding no pair.
 The four shrinking recursions share one counter engine, ``_shrink``, in the
@@ -65,7 +68,8 @@ from .relations import (
 )
 
 
-def _search(flags: bytearray, start: list, n: int, nbr, count=None) -> list:
+def _search(flags: bytearray, start: list, n: int, nbr, count=None,
+            mirrored: bool = False) -> list:
     """Breadth-first search of the pair graph, whose edges join (i, j) to
     each pair of N(i) x N(j), from the pairs ``start`` through the pairs
     flagged 1 in ``flags`` (one byte per pair).  Every pair reached,
@@ -73,12 +77,26 @@ def _search(flags: bytearray, start: list, n: int, nbr, count=None) -> list:
     level by level, ``start`` first, each level in discovery order: for
     each pair of the level before in turn, N(i) then N(j).  Given ``count``,
     one field per pair, each reached pair's supports, the pairs of
-    N(i) x N(j) flagged 1 or 2, are counted there.  O(reached x deg^2)."""
+    N(i) x N(j) flagged 1 or 2, are counted there.  O(reached x deg^2).
+
+    ``mirrored`` is the symmetric mode, for flags and a ``start`` that are
+    closed under transposition: swapping i and j maps the pair graph onto
+    itself, so (i, j) and (j, i) are reached at the same step.  Each orbit
+    {(i, j), (j, i)} is then expanded once, from (i, j) with i <= j in
+    ``start`` and from the member found first later on, and a pair's
+    transpose is flagged 2 as the pair is.  Each level holds the same
+    pairs as without the mode: the members found, in discovery order, then
+    their off-diagonal transposes in the same order.  Supports are not
+    counted.  About half the plain search's work."""
     for p in start:
         flags[p] = 2
     levels = [start]
-    for level in levels:        # grows while it is read, one level per step
+    # the pairs expanded, one per orbit when mirrored; otherwise ``levels``
+    # itself, so that a level appended to it is both read and returned
+    todo = [[p for p in start if p // n <= p % n]] if mirrored else levels
+    for level in todo:          # grows while it is read, one level per step
         nxt = []
+        twins = []
         for p in level:
             i, j = divmod(p, n)
             nbr_j = nbr[j]
@@ -93,10 +111,16 @@ def _search(flags: bytearray, start: list, n: int, nbr, count=None) -> list:
                         if f == 1:
                             flags[q] = 2
                             nxt.append(q)
+                            if mirrored and a != b:
+                                t = b * n + a
+                                flags[t] = 2
+                                twins.append(t)
             if count is not None:
                 count[p] = c
         if nxt:
-            levels.append(nxt)
+            todo.append(nxt)
+            if mirrored:
+                levels.append(nxt + twins)
     return levels
 
 
@@ -107,11 +131,15 @@ def s_series(m: Fsm) -> FixpointSeries:
     pairs of the pairs it gained at the step before.  So it is the
     breadth-first search of Pi from X0 x X0 cap Pi (:func:`_search`): each
     level after the first is a layer, and the fixed point is every pair
-    reached.  The cost is linear in the transition pairs the search meets
-    rather than steps times relation size.  X0 x X0 cap Pi is Pi exactly
-    when every state is initial (Pi holds every diagonal pair); then Pi is
-    returned as the fixed point with no layers, and no pair is decoded.
-    Liveness is not required.
+    reached.  Both are closed under transposition, so the search runs in
+    its symmetric mode: it expands one pair of each {(i, j), (j, i)} and
+    lists a layer as the pairs found, in the order found, then their
+    transposes.  Each layer holds the same pairs as the plain search's, and
+    no reader depends on the order inside one.  The cost is linear in the
+    transition pairs the search meets rather than steps times relation
+    size.  X0 x X0 cap Pi is Pi exactly when every state is initial (Pi
+    holds every diagonal pair); then Pi is returned as the fixed point with
+    no layers, and no pair is decoded.  Liveness is not required.
     """
     pi = m.pi
     if len(m.initial) == m.universe.n:
@@ -119,7 +147,7 @@ def s_series(m: Fsm) -> FixpointSeries:
     first = product_relation(m.universe, m.initial, m.initial) & pi
     n = m.universe.n
     flags = bit_flags(pi.bits, n * n)
-    levels = _search(flags, bit_indices(first.bits), n, m.adjacency[0])
+    levels = _search(flags, bit_indices(first.bits), n, m.adjacency[0], mirrored=True)
     fixed = PairRelation(m.universe, flag_bits(flags.translate(_REACHED)))
     return FixpointSeries(first, fixed, levels[1:])
 
@@ -260,8 +288,8 @@ def f_series(m: Fsm, within: Optional[PairRelation] = None) -> FixpointSeries:
     series is exact on those pairs and may cover only their cone
     (:func:`_shrink`).
     """
-    for s in m.states:
-        if not m.succ(s):
+    for s, nb in zip(m.states, m.adjacency[0]):
+        if not nb:
             raise PreconditionError("state %s has no successor; forward "
                                     "indistinguishability needs liveness" % s)
     return _shrink(m, m.pi, True, within)

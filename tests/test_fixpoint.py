@@ -106,6 +106,23 @@ class TestS:
         for k in range(1, 4):
             assert s.at(k) == enum_relation(m, "S", k)
 
+    def test_layers_closed_under_transposition(self):
+        # 100 states, 3 labels, 10 initial: S and S~ level by level against
+        # the plain recursion, each layer holding each pair's transpose and
+        # no pair twice
+        rng = random.Random(24)
+        states = ["s%03d" % i for i in range(100)]
+        label = {s: rng.choice("abc") for s in states}
+        trans = {(s, t) for s in states for t in rng.sample(states, rng.randint(1, 3))}
+        m = Fsm(states, rng.sample(states, 10), label, trans, rng.sample(states, 5))
+        n = len(states)
+        for machine in (m, build_restricted(m)):
+            s = assert_s_matches_reference(machine)
+            assert s.convergence_step > 5
+            for layer in s.layers:
+                assert len(set(layer)) == len(layer)
+                assert {p % n * n + p // n for p in layer} == set(layer)
+
 
 class TestF:
     def test_m1(self, m1):
@@ -134,8 +151,14 @@ class TestF:
 
     def test_requires_liveness(self):
         m = Fsm("ab", "a", {"a": "x", "b": "x"}, [("a", "b")])
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^state b has no successor; forward "
+                           "indistinguishability needs liveness$"):
             f_series(m)
+
+    def test_liveness_check_builds_no_successor_sets(self, m2):
+        # the check reads the integer adjacency the engine walks next
+        f_series(m2)
+        assert "_succ" not in m2.__dict__
 
 
 class TestB:

@@ -160,10 +160,11 @@ def test_series_shape(m):
         assert series.at(k + 1) == series.fixed_point
 
 
-@given(machines(max_states=6, outputs="ab"))
+@given(st.one_of(machines(max_states=7, outputs="ab"), machines(max_states=7, outputs="abc")))
 @COMMON
 def test_s_matches_plain_growth(m):
-    # on two outputs S often reaches all of Pi, which it cannot outgrow
+    # on two outputs S often reaches all of Pi, which it cannot outgrow;
+    # on three it more often stops short of it
     assert_s_matches_reference(m)
     assert_s_matches_reference(build_restricted(m))
 

@@ -1,9 +1,13 @@
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, example, given, settings
 
 from fsmdiag import PairRelation, Universe, UsageError, product_relation
-from fsmdiag.relations import FixpointSeries, bit_flags, bit_indices, flag_bits
+from fsmdiag.relations import (
+    _SPARSE_CLOSURE, FixpointSeries, bit_flags, bit_indices, flag_bits, transposed,
+)
 
 STATES = ("a", "b", "c")
 U = Universe(STATES)
@@ -66,6 +70,28 @@ def test_symmetric_closure():
         for pairs in relations:
             closed = PairRelation.from_pairs(Universe(states), pairs).symmetric_closure()
             assert set(closed.pairs()) == set(pairs) | {(b, a) for a, b in pairs}
+
+
+@given(st.integers(1, 100), st.sampled_from(["empty", "diagonal", "pairs"]),
+       st.booleans(), st.randoms(use_true_random=False))
+@example(100, "diagonal", True, random.Random(0))
+@example(80, "diagonal", False, random.Random(0))
+@example(100, "pairs", True, random.Random(0))
+@example(100, "pairs", False, random.Random(0))
+@settings(max_examples=200, deadline=None)
+def test_symmetric_closure_sparse_and_dense_paths_agree(n, kind, sparse, rng):
+    # empty, diagonal-only and other relations with fewer set bits than the
+    # cutoff (closed pair by pair) or at least as many (closed by the
+    # whole-matrix transpose), against that transpose
+    cells = range(0, n * n, n + 1) if kind == "diagonal" else range(n * n)
+    cutoff = -(-n * n // _SPARSE_CLOSURE)       # the fewest set bits on the dense path
+    low, high = (0, min(cutoff - 1, len(cells))) if sparse else (cutoff, len(cells))
+    assume(kind == "empty" or low <= high)
+    count = 0 if kind == "empty" else rng.randint(low, high)
+    bits = sum(1 << p for p in rng.sample(cells, count))
+    closed = PairRelation(Universe(["s%d" % i for i in range(n)]), bits).symmetric_closure()
+    assert closed.bits == bits | flag_bits(transposed(bit_flags(bits, n * n), n))
+    assert closed.is_symmetric()
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 17])
