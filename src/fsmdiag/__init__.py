@@ -4,8 +4,7 @@ __version__ = "0.1.0"
 
 from .checker import Analysis, DiagParams, DiagVerdict, PropertyKind, check
 from .diagnoser import DiagnosisEvent, Estimator, observe
-from .epsremoval import (SilentRemovalResult, desilent, execution_image,
-                         max_silent_length)
+from .epsremoval import SilentRemovalResult, desilent, execution_image
 from .errors import (BudgetExceededError, FsmDiagError,
                      InconsistentObservationError, ParseError,
                      PreconditionError, UsageError)

@@ -21,7 +21,6 @@ from .epsremoval import desilent
 from .errors import BudgetExceededError, FsmDiagError, ParseError, UsageError
 from .model import fsm_to_text, load_fsm, validate
 from .oracle import Horizon, check_definition
-from .relations import bit_flags
 
 def _state_list(text):
     return [t for t in text.replace(",", " ").split() if t]
@@ -36,35 +35,19 @@ def _load(args):
     return m
 
 
-def _rows(rel, prefix, sep, suffix):
-    """One string per nonempty row i of ``rel``'s bit matrix:
-    ``prefix[i] + sep[i].join(suffix[j] for each pair (i, j))``, each table
-    indexed by state position.  Rows and columns run in universe order, so
-    the rows list the pairs in ``rel.pairs()`` order."""
-    n = rel.universe.n
-    flags = bit_flags(rel.bits, n * n)
-    rows = []
-    for i in range(n):
-        row = flags[i * n:i * n + n]
-        if 1 in row:
-            rows.append(prefix[i] + sep[i].join(compress(suffix, row)))
-    return rows
-
-
 def _sets_json(payload):
-    """``json.dumps(decoded, indent=2, sort_keys=True)`` for ``cmd_sets``'
-    payload, ``decoded`` being the payload with each relation replaced by
-    its ``pairs()``.  The payload maps a relation name to
-    ``convergence_step``, ``fixed_point`` (a ``PairRelation``) and, with
-    --steps, ``steps`` (an iterable of them, read once).
+    """The text of ``json.dumps(decoded, indent=2, sort_keys=True) + "\n"``
+    for ``cmd_sets``' payload, in pieces, ``decoded`` being the payload with
+    each relation replaced by its ``pairs()``.  The payload maps a relation
+    name to ``convergence_step``, ``fixed_point`` (a ``PairRelation``) and,
+    with --steps, ``steps`` (an iterable of them, read once).
 
     An indent sends ``json.dumps`` through its pure-Python encoder, one call
-    per pair and per state.  Here each relation is its bit rows (``_rows``),
-    from tables built once per universe and indent depth, in which each
-    state's JSON string is encoded once per universe.  Each row is one piece
-    of the output and the pieces are joined once at the end: no relation or
-    list of steps is rendered to a string of its own, which would copy the
-    text of every row inside it.
+    per pair and per state.  Here each nonempty bit row of a relation
+    (``PairRelation.rows``) is one piece, a join over tables built once per
+    universe and indent depth, in which each state's JSON string is encoded
+    once per universe.  A piece is yielded as it is rendered, so no relation
+    and no report is held as one string.
     """
     encoded = functools.cache(lambda universe: [encode_basestring_ascii(s)
                                                 for s in universe.states])
@@ -76,39 +59,30 @@ def _sets_json(payload):
         return (prefix, ["," + inner + p for p in prefix],
                 [e + inner + "]" for e in encoded(universe)])
 
-    out = []
-
     def relation(rel, newline):
-        rows = _rows(rel, *tables(rel.universe, newline))
-        if not rows:
-            out.append("[]")
-            return
+        prefix, sep, suffix = tables(rel.universe, newline)
         inner = newline + "  "
-        sep = "," + inner
-        # each row a piece of its own: joining the rows into one string per
-        # relation first raised peak RSS on many-labels by about 0.2 MiB
-        # (CHANGES.md)
-        out.append("[" + inner + rows[0])
-        for row in rows[1:]:
-            out.extend((sep, row))
-        out.append(newline + "]")
+        head = "[" + inner
+        for i, row in rel.rows():
+            yield head + prefix[i] + sep[i].join(compress(suffix, row))
+            head = "," + inner
+        yield newline + "]" if rel else "[]"
 
     for i, name in enumerate(sorted(payload)):
         entry = payload[name]
-        out.append('%s%s: {\n    "convergence_step": %s,\n    "fixed_point": '
-                   % (",\n  " if i else "{\n  ", encode_basestring_ascii(name),
-                      json.dumps(entry["convergence_step"])))
-        relation(entry["fixed_point"], "\n    ")
+        yield ('%s%s: {\n    "convergence_step": %s,\n    "fixed_point": '
+               % (",\n  " if i else "{\n  ", encode_basestring_ascii(name),
+                  json.dumps(entry["convergence_step"])))
+        yield from relation(entry["fixed_point"], "\n    ")
         if "steps" in entry:
-            out.append(',\n    "steps": [')
+            yield ',\n    "steps": ['
             k = -1
             for k, step in enumerate(entry["steps"]):
-                out.append(",\n      " if k else "\n      ")
-                relation(step, "\n      ")
-            out.append("\n    ]" if k >= 0 else "]")
-        out.append("\n  }")
-    out.append("\n}" if payload else "{}")
-    return "".join(out)
+                yield ",\n      " if k else "\n      "
+                yield from relation(step, "\n      ")
+            yield "\n    ]" if k >= 0 else "]"
+        yield "\n  }"
+    yield "\n}\n" if payload else "{}\n"
 
 
 def _emit(args, report, lines):
@@ -143,21 +117,24 @@ _SETS = {"Pi": "pi", "S": "s", "Stilde": "s_tilde", "F": "f", "B": "b",
 
 def _sets_lines(payload):
     """The text form of ``cmd_sets``' payload, one line per relation and per
-    step, each rendered from its bit rows (``_rows``) when its line is."""
+    step, each ending in a newline and rendered from the relation's bit rows
+    (``PairRelation.rows``) when it is yielded."""
     @functools.cache
     def tables(universe):
         prefix = ["(" + a + "," for a in universe.states]
         return prefix, [" " + p for p in prefix], [b + ")" for b in universe.states]
 
     def text(rel):
-        return " ".join(_rows(rel, *tables(rel.universe)))
+        prefix, sep, suffix = tables(rel.universe)
+        return " ".join(prefix[i] + sep[i].join(compress(suffix, row))
+                        for i, row in rel.rows())
 
     for name, entry in payload.items():
         conv = entry["convergence_step"]
         head = name if conv is None else "%s (converges at %d)" % (name, conv)
-        yield "%s: %s" % (head, text(entry["fixed_point"]))
+        yield "%s: %s\n" % (head, text(entry["fixed_point"]))
         for k, step in enumerate(entry.get("steps", ()), 1):
-            yield "  step %d: %s" % (k, text(step))
+            yield "  step %d: %s\n" % (k, text(step))
 
 
 def cmd_sets(args):
@@ -174,8 +151,7 @@ def cmd_sets(args):
             if args.steps:
                 entry["steps"] = series
         payload[name] = entry
-    for line in [_sets_json(payload)] if args.json else _sets_lines(payload):
-        print(line)
+    sys.stdout.writelines(_sets_json(payload) if args.json else _sets_lines(payload))
     return 0
 
 

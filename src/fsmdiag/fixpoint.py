@@ -200,17 +200,17 @@ def _support_counts(flags: bytearray, n: int, nbr):
 
 
 def _cone_counts(first: PairRelation, within: PairRelation, n: int, nbr):
-    """The cone of ``within`` cap R_1, the pairs reachable from it along
-    supports (pairs of N(i) x N(j) inside R_1), as ``(flags, counts, w)``:
-    one flag byte per pair, set on the cone, and each cone pair's supports
-    in the w-byte fields of :func:`_support_counts`, 0 off the cone.  The
-    cone is the breadth-first search of R_1 from ``within`` cap R_1
-    (:func:`_search`), which counts each pair's supports as it visits it,
-    in O(cone x deg^2)."""
+    """The cone of ``within`` (pairs of R_1): the pairs reachable from it
+    along supports (pairs of N(i) x N(j) inside R_1), as
+    ``(flags, counts, w)``: one flag byte per pair, set on the cone, and
+    each cone pair's supports in the w-byte fields of
+    :func:`_support_counts`, 0 off the cone.  The cone is the breadth-first
+    search of R_1 from ``within`` (:func:`_search`), which counts each
+    pair's supports as it visits it, in O(cone x deg^2)."""
     w = _field_width(nbr)
     counts = bytearray(n * n * w)
     flags = bit_flags(first.bits, n * n)        # 1 in R_1, 2 in the cone
-    _search(flags, bit_indices(within.bits & first.bits), n, nbr,
+    _search(flags, bit_indices(within.bits), n, nbr,
             memoryview(counts).cast(_FIELD[w]))
     return flags.translate(_REACHED), counts, w
 
@@ -243,11 +243,14 @@ def _shrink(m: Fsm, first: PairRelation, forward: bool,
     full series; pairs off the cone never touch it.  The two series
     therefore agree on every pair of ``within``, and are the same series
     when the cone covers R_1.  Otherwise, and without ``within``, the engine
-    runs on all of R_1.
+    runs on all of R_1.  A ``within`` over another universe raises
+    UsageError on either path.
     """
     succ, pre = m.adjacency
     nbr, back = (succ, pre) if forward else (pre, succ)
     n = m.universe.n
+    if within is not None:
+        within &= first
     if within is not None and m.pair_branching < 1:
         alive, counts, w = _cone_counts(first, within, n, nbr)
         first = PairRelation(m.universe, flag_bits(alive))

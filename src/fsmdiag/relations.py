@@ -150,16 +150,23 @@ class PairRelation:
     def __iter__(self):
         return iter(self.pairs())
 
-    def pairs(self) -> list:
-        """Sorted list of (state, state) pairs, decoded row by row."""
+    def rows(self):
+        """``(i, row)`` for each nonempty row i of the bit matrix, in order:
+        ``row`` holds n flag bytes, byte j 1 exactly when the pair of the
+        i-th and j-th states is in the relation."""
         n = self.universe.n
-        states = self.universe.states
         flags = bit_flags(self.bits, n * n)
-        out = []
-        for i, a in enumerate(states):
+        for i in range(n):
             row = flags[i * n:i * n + n]
             if 1 in row:
-                out += zip(repeat(a), compress(states, row))
+                yield i, row
+
+    def pairs(self) -> list:
+        """Sorted list of (state, state) pairs, decoded row by row."""
+        states = self.universe.states
+        out = []
+        for i, row in self.rows():
+            out += zip(repeat(states[i]), compress(states, row))
         return out
 
     def __repr__(self):
@@ -212,14 +219,17 @@ class PairRelation:
 
 
 def product_relation(universe, left: Iterable[str], right: Iterable[str]) -> PairRelation:
-    """The rectangle left x right as a PairRelation."""
+    """The rectangle left x right as a PairRelation.  A state outside the
+    universe raises UsageError."""
     index = universe.index
-    row = 0
-    for b in right:
-        row |= 1 << index[b]
-    bits = 0
-    for a in left:
-        bits |= row << (index[a] * universe.n)
+    row = bits = 0
+    try:
+        for b in right:
+            row |= 1 << index[b]
+        for a in left:
+            bits |= row << (index[a] * universe.n)
+    except KeyError as exc:
+        raise UsageError("state %s outside the state universe" % (exc.args[0],)) from None
     return PairRelation(universe, bits)
 
 

@@ -1,4 +1,5 @@
 import functools
+import io
 import json
 import os
 import subprocess
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 
 from fsmdiag import (FixpointSeries, PairRelation, Universe, checker, cli, load_fsm,
-                     max_silent_length, parse_fsm)
+                     parse_fsm)
 from fsmdiag.cli import main
+from fsmdiag.epsremoval import max_silent_length
 from fsmdiag.fixpoint import ProjectedSeries
 from conftest import FIXTURES, fixture_path
 
@@ -129,6 +131,22 @@ class TestSets:
         payload = json.loads(out)
         assert set(payload) == {"Pi", "S", "Stilde", "F", "B", "Lambda", "Gamma"}
         assert payload["F"]["convergence_step"] == 2
+
+    @pytest.mark.parametrize("steps", [[], ["--steps"]])
+    def test_json_is_written_as_rendered(self, monkeypatch, steps):
+        # no single write holds the report, nor even Pi's pairs alone
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(len(text))
+                return super().write(text)
+
+        out = Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["sets", M2, "--json", *steps]) == 0
+        pi = json.loads(out.getvalue())["Pi"]["fixed_point"]
+        assert max(writes) < len(json.dumps(pi, indent=2))
 
     def test_steps(self, capsys):
         code, out, _ = run(capsys, "sets", M1, "--set", "F", "--steps")
@@ -576,7 +594,7 @@ def test_sets_json_matches_json_dumps(payload):
         decoded[name] = dict(entry, fixed_point=entry["fixed_point"].pairs())
         if "steps" in entry:
             decoded[name]["steps"] = [rel.pairs() for rel in entry["steps"]]
-    assert cli._sets_json(payload) == json.dumps(decoded, indent=2, sort_keys=True)
+    assert "".join(cli._sets_json(payload)) == json.dumps(decoded, indent=2, sort_keys=True) + "\n"
 
 
 @given(sets_payloads())
@@ -593,4 +611,4 @@ def test_sets_lines_match_pair_by_pair(payload):
         expected.append("%s: %s" % (head, text(entry["fixed_point"])))
         expected += ["  step %d: %s" % (k, text(rel))
                      for k, rel in enumerate(entry.get("steps", ()), 1)]
-    assert list(cli._sets_lines(payload)) == expected
+    assert list(cli._sets_lines(payload)) == [line + "\n" for line in expected]

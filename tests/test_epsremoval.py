@@ -3,9 +3,10 @@ import pytest
 from fsmdiag import epsremoval
 from fsmdiag import (
     Fsm, PreconditionError, UsageError, desilent, execution_image,
-    is_execution, max_silent_length, output_of, validate,
+    is_execution, output_of, validate,
 )
-from fsmdiag.epsremoval import silent_reach_avoiding, silent_reach_crossing
+from fsmdiag.epsremoval import (max_silent_length, silent_reach_avoiding,
+                                silent_reach_crossing)
 
 N1 = "3~1+"  # silent run ending in 3, entered through 1, crossing the critical set
 N2 = "3~2+"

@@ -375,6 +375,18 @@ def test_views_agree_with_the_whole_series_on_their_pairs(m1, m2, fork):
             assert view.removal_steps(mixed & view.first) == whole.removal_steps(mixed & whole.first)
 
 
+def test_within_over_another_universe_is_refused(m1, fork):
+    # m1 takes the cone path (pair branching 6/7) and fork the product (2)
+    foreign = PairRelation(Universe(["x"]))
+    assert m1.pair_branching < 1 <= fork.pair_branching
+    for m in (m1, fork):
+        s_star = s_series(m).fixed_point
+        with pytest.raises(UsageError, match="different state universes"):
+            f_series(m, within=foreign)
+        with pytest.raises(UsageError, match="different state universes"):
+            b_series(m, s_star, within=foreign)
+
+
 def test_convergence_bound(m1, m2, m2_single, fork):
     for m in (m1, m2, m2_single, fork):
         n2 = len(m.states) ** 2

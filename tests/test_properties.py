@@ -13,10 +13,10 @@ from fsmdiag import (
     Analysis, BudgetExceededError, DiagParams, DiagVerdict, Estimator, Fsm, Horizon,
     InconsistentObservationError, PairRelation, PreconditionError, PropertyKind, UsageError,
     build_restricted, check, check_definition, desilent, diagnoser, enum_relation,
-    enumerate_executions, execution_image, fsm_to_text, is_execution, max_silent_length,
-    observe, output_of, parse_fsm, product_relation, validate,
+    enumerate_executions, execution_image, fsm_to_text, is_execution, observe, output_of,
+    parse_fsm, product_relation, validate,
 )
-from fsmdiag.epsremoval import silent_runs
+from fsmdiag.epsremoval import max_silent_length, silent_runs
 from fsmdiag.fixpoint import _avoid_seed, _shrink, gamma_series, lambda_series, s_series
 from fsmdiag.relations import bit_flags
 from test_epsremoval import output_language

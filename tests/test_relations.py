@@ -73,7 +73,7 @@ def test_symmetric_closure():
 
 
 @given(st.integers(1, 100), st.sampled_from(["empty", "diagonal", "pairs"]),
-       st.booleans(), st.randoms(use_true_random=False))
+       st.booleans(), st.randoms(use_true_random=True))
 @example(100, "diagonal", True, random.Random(0))
 @example(80, "diagonal", False, random.Random(0))
 @example(100, "pairs", True, random.Random(0))
@@ -82,7 +82,9 @@ def test_symmetric_closure():
 def test_symmetric_closure_sparse_and_dense_paths_agree(n, kind, sparse, rng):
     # empty, diagonal-only and other relations with fewer set bits than the
     # cutoff (closed pair by pair) or at least as many (closed by the
-    # whole-matrix transpose), against that transpose
+    # whole-matrix transpose), against that transpose.  A true Random:
+    # Hypothesis' own draws a sample as a list of at most 8 192 items, fewer
+    # than the n^2 cells a dense relation at n > 90 may fill.
     cells = range(0, n * n, n + 1) if kind == "diagonal" else range(n * n)
     cutoff = -(-n * n // _SPARSE_CLOSURE)       # the fewest set bits on the dense path
     low, high = (0, min(cutoff - 1, len(cells))) if sparse else (cutoff, len(cells))
@@ -97,7 +99,8 @@ def test_symmetric_closure_sparse_and_dense_paths_agree(n, kind, sparse, rng):
 @pytest.mark.parametrize("n", [1, 2, 5, 17])
 def test_pairs_against_enumeration(n):
     # empty, full, one row, one column and random relations, each read back
-    # against every (i, j) tested bit by bit in row-major order
+    # against every (i, j) tested bit by bit in row-major order, as pairs
+    # and as nonempty rows
     u = Universe(["s%02d" % i for i in range(n)])
     rng = random.Random(n)
     row, column = n // 2, (n - 1) // 3
@@ -108,6 +111,9 @@ def test_pairs_against_enumeration(n):
         expected = [(a, b) for i, a in enumerate(u.states) for j, b in enumerate(u.states)
                     if bits >> (i * n + j) & 1]
         assert PairRelation(u, bits).pairs() == expected
+        rows = [[bits >> (i * n + j) & 1 for j in range(n)] for i in range(n)]
+        assert [(i, list(row)) for i, row in PairRelation(u, bits).rows()] == [
+            (i, row) for i, row in enumerate(rows) if any(row)]
 
 
 def test_iteration_and_repr():
@@ -135,6 +141,12 @@ def test_product_relation():
     r = product_relation(U, ["a", "b"], ["c"])
     assert set(r.pairs()) == {("a", "c"), ("b", "c")}
     assert len(product_relation(U, STATES, STATES)) == 9
+
+
+@pytest.mark.parametrize("left, right", [(["z"], ["a"]), (["a"], ["z"])])
+def test_product_relation_outside_universe(left, right):
+    with pytest.raises(UsageError, match="state z outside the state universe"):
+        product_relation(U, left, right)
 
 
 def pair_index(p):
