@@ -15,17 +15,19 @@ that is removed afterwards.  On each machine the commands are
 Besides, ``observe FILE --property P --json --trace SYMBOLS`` runs for the
 four properties the estimator serves on each many-labels walk, and
 ``oracle FILE --property P --json --horizon 6`` for the eight properties
-on each fixture.  On each fixture ``check FILE --property eventual --json``
-also runs with ``--initial`` and ``--critical`` overrides, some naming a
-declared state and some not.  Last, ``validate FILE --json`` and
-``check FILE --property eventual --json`` run on each file of a malformed
-corpus written to the temporary directory: one text per way the loader
-refuses a file, a file that is not UTF-8 and an empty file.  Each tree
-runs all of them in one Python process with that tree on the path and
-its own working directory, calling ``fsmdiag.cli.main`` per command and
-capturing its exit code, stdout, stderr and the text of each file it
-names after ``-o`` or ``--provenance``.  Prints every command on which
-the two differ; exits 1 if any does and 0 otherwise.
+on each fixture.  On each fixture ``check FILE --property P --json`` also
+runs with ``--initial`` and ``--critical`` overrides, some naming a
+declared state and some not, for P in eventual, diag and parametric, the
+last two reading the restriction of the overridden machine.  Last,
+``validate FILE --json`` and ``check FILE --property eventual --json`` run
+on each file of a malformed corpus written to the temporary directory: one
+text per way the loader refuses a file, a file that is not UTF-8 and an
+empty file.  Each tree runs all of them in one Python process with that
+tree on the path and its own working directory, calling
+``fsmdiag.cli.main`` per command and capturing its exit code, stdout,
+stderr and the text of each file it names after ``-o`` or
+``--provenance``.  Prints every command on which the two differ; exits 1
+if any does and 0 otherwise.
 """
 
 import argparse
@@ -99,6 +101,9 @@ MALFORMED = {
 # state it does not declare, and both at once
 OVERRIDES = (["--initial", "{s}"], ["--critical", "{s}"], ["--initial", "{s}", "--critical", ""],
              ["--initial", "zz"], ["--critical", "{s},zz"], ["--initial", "yy", "--critical", "zz"])
+# the properties checked under each override: diag and parametric read the
+# restriction of the overridden machine
+OVERRIDDEN = ("eventual", "diag", "parametric")
 
 
 def fixtures():
@@ -146,8 +151,9 @@ def commands(tmp):
              for path in fixtures() for p in PROPERTIES]
     for path in fixtures():
         s = first_state(path)
-        runs += [["check", path, "--property", "eventual", "--json"]
-                 + [arg.format(s=s) for arg in override] for override in OVERRIDES]
+        runs += [["check", path, "--property", p, "--json"]
+                 + [arg.format(s=s) for arg in override]
+                 for p in OVERRIDDEN for override in OVERRIDES]
     directory = os.path.join(tmp, "malformed")
     os.mkdir(directory)
     for name, data in sorted(MALFORMED.items()):

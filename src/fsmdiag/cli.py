@@ -28,11 +28,12 @@ def _state_list(text):
 
 def _load(args):
     m = load_fsm(args.file)
+    overrides = {}
     if args.initial is not None:
-        m = m.replace(initial=frozenset(_state_list(args.initial)))
+        overrides["initial"] = frozenset(_state_list(args.initial))
     if args.critical is not None:
-        m = m.replace(critical=frozenset(_state_list(args.critical)))
-    return m
+        overrides["critical"] = frozenset(_state_list(args.critical))
+    return m.replace(**overrides) if overrides else m
 
 
 def _sets_json(payload):

@@ -58,30 +58,9 @@ class Fsm:
             raise UsageError("a machine needs at least one state")
         self.states = states
         self.universe = Universe(states)
-        self._set_initial(initial)
-        self._set_critical(critical)
-        self._set_label(label)
-        self._set_trans(trans)
-
-    # Each field is checked and set by one helper, which the constructor
-    # calls in this order and ``replace`` calls for the fields it overrides.
-
-    def _declared(self, what, chosen):
-        chosen = frozenset(chosen)
-        if not chosen <= self.universe.index.keys():
-            raise UsageError("%s states %s not declared"
-                             % (what, sorted(chosen - set(self.states))))
-        return chosen
-
-    def _set_initial(self, initial):
         self.initial = self._declared("initial", initial)
-
-    def _set_critical(self, critical):
         self.critical = self._declared("critical", critical)
-
-    def _set_label(self, label):
         label = dict(label)
-        states = self.states
         if label.keys() != self.universe.index.keys():
             raise UsageError("states without output label or labels without state: %s"
                              % sorted(set(states) ^ set(label), key=str))
@@ -98,10 +77,20 @@ class Fsm:
                                      "without whitespace or '#'" % (s, label[s]))
         self.label = label
         self.outputs = frozenset(label.values()) - {EPSILON}
+        self._set_trans(trans)
+
+    def _declared(self, what, chosen):
+        chosen = frozenset(chosen)
+        if not chosen <= self.universe.index.keys():
+            raise UsageError("%s states %s not declared"
+                             % (what, sorted(chosen - set(self.states))))
+        return chosen
 
     def _set_trans(self, trans):
-        # each state's successors and predecessors as lists, in one pass;
-        # ``succ`` and ``pre`` read them as frozensets built on first use
+        # a method of its own, as ``build_restricted`` sets only the
+        # transitions.  Each state's successors and predecessors as lists,
+        # in one pass; ``succ`` and ``pre`` read them as frozensets built on
+        # first use
         trans = frozenset(map(tuple, trans))
         succ = {s: [] for s in self.states}
         pre = {s: [] for s in self.states}
@@ -206,25 +195,12 @@ class Fsm:
         return frozenset(s for s in self.states if self.label[s] == EPSILON)
 
     def replace(self, **kw):
-        """Copy with some fields overridden (initial, critical, trans, label).
-
-        A copy that keeps the states shares this machine's universe and
-        every attribute, cached or not, that ``_BUILT_FROM`` says is built
-        from none of the overridden fields, and checks only those fields."""
+        """A new machine with some fields (states, initial, label, trans,
+        critical) overridden, built and checked by the constructor."""
         bad = kw.keys() - _FIELDS
         if bad:
             raise UsageError("cannot override %s" % sorted(bad))
-        if "states" in kw:
-            args = {f: getattr(self, f) for f in _FIELDS}
-            args.update(kw)
-            return Fsm(**args)
-        copy = object.__new__(Fsm)
-        copy.__dict__.update((k, v) for k, v in vars(self).items()
-                             if k in _BUILT_FROM and kw.keys().isdisjoint(_BUILT_FROM[k]))
-        for field in ("initial", "critical", "label", "trans"):
-            if field in kw:
-                getattr(copy, "_set_" + field)(kw[field])
-        return copy
+        return Fsm(**{**{f: getattr(self, f) for f in _FIELDS}, **kw})
 
     def __eq__(self, other):
         if not isinstance(other, Fsm):
@@ -247,18 +223,6 @@ class Fsm:
 
 
 _FIELDS = frozenset(("states", "initial", "label", "trans", "critical"))
-
-#: The fields each attribute of an Fsm is built from, besides its states.
-#: ``Fsm.replace`` keeps an attribute only when it overrides none of them,
-#: and drops any attribute missing here.
-_BUILT_FROM = {
-    "states": (), "universe": (),
-    "initial": ("initial",), "critical": ("critical",), "mixed": ("critical",),
-    "label": ("label",), "outputs": ("label",), "pi": ("label",),
-    "trans": ("trans",), "_succ_lists": ("trans",), "_pre_lists": ("trans",),
-    "_succ": ("trans",), "_pre": ("trans",), "adjacency": ("trans",),
-    "pair_branching": ("label", "trans"), "succ_by_label": ("label", "trans"),
-}
 
 
 # -- text format -----------------------------------------------------------
@@ -490,11 +454,17 @@ def crossing_index(x: Sequence[str], omega: Iterable[str]) -> Optional[int]:
 def build_restricted(m: Fsm) -> Fsm:
     """Machine with every transition leaving a critical state removed.
 
-    The result may fail liveness; downstream reachability computations do not
-    depend on it.
+    It holds ``m``'s very states, universe, initial and critical sets, label
+    dict, outputs and Pi, which it builds on ``m`` first, so that one Pi
+    serves both machines; every other cached attribute it builds from its
+    own fields.  The result may fail liveness; downstream reachability
+    computations do not depend on it.
     """
-    critical = m.critical
-    return m.replace(trans=[t for t in m.trans if t[0] not in critical])
+    r = object.__new__(Fsm)
+    vars(r).update(states=m.states, universe=m.universe, initial=m.initial,
+                   critical=m.critical, label=m.label, outputs=m.outputs, pi=m.pi)
+    r._set_trans(t for t in m.trans if t[0] not in m.critical)
+    return r
 
 
 def enumerate_executions(m: Fsm, sources: Iterable[str], length: int,

@@ -1,10 +1,11 @@
 import random
+from functools import cached_property
 
 import pytest
 
 from fsmdiag import (
-    Analysis, DiagParams, FixpointSeries, Fsm, Horizon, PreconditionError, UsageError,
-    check, check_definition, lambda_series, observe, product_relation, validate,
+    Analysis, DiagParams, FixpointSeries, Fsm, Horizon, PairRelation, PreconditionError,
+    UsageError, check, check_definition, lambda_series, observe, product_relation, validate,
 )
 from fsmdiag import checker
 from fsmdiag.checker import PropertyKind
@@ -50,6 +51,18 @@ def test_check_answers_for_the_machine_of_its_analysis(m1, fork):
     # an analysis of an equal machine serves it
     a = Analysis(m1)
     assert check(m1.replace(), "diag", a) is check(m1, "diag", a)
+
+
+@pytest.mark.parametrize("prop", ["parametric", "diag", "critical"])
+def test_check_builds_pi_once(m1, monkeypatch, prop):
+    # these properties read the restriction too, which holds m's very Pi
+    builds = []
+    pi = Fsm.__dict__["pi"]
+    counted = cached_property(lambda m: builds.append(m) or pi.func(m))
+    counted.__set_name__(Fsm, "pi")
+    monkeypatch.setattr(Fsm, "pi", counted)
+    check(m1, prop)
+    assert builds == [m1]
 
 
 def test_on_mixed_takes_only_f_b_and_b_tilde(fork):
@@ -370,6 +383,13 @@ class TestFrontier:
                 for dl in (0, 1):
                     lhs = a.b.at(b + db) & a.f.at(f)
                     assert not (lhs & a.gam.at(g) & a.lam.at(l + dl))
+
+    def test_pair_no_series_removes_leaves_no_frontier(self, m1):
+        # the diagonal stays in F*, so no step of F empties it
+        a = Analysis(m1)
+        diagonal = PairRelation.diagonal(a.m.universe)
+        assert diagonal.issubset(a.f.fixed_point)
+        assert checker._frontier(diagonal, f=a.f) == ()
 
 
 def test_property_kind_round_trip():

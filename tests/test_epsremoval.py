@@ -242,6 +242,15 @@ class TestExecutionImage:
         assert execution_image(result, m, "asq") == ("q~a+",)
         assert execution_image(result, m, "asqb") == ("q~a+", "b")
 
+    def test_block_without_surviving_image(self):
+        # a's run ends in d, which has no successor, so only e survives
+        m = Fsm("asde", "ae", {"a": "x", "s": "_", "d": "y", "e": "x"},
+                [("a", "s"), ("s", "d"), ("e", "e")])
+        result = desilent(m)
+        assert result.m_hat.states == ("e",)
+        with pytest.raises(UsageError, match="^a s has no surviving image$"):
+            execution_image(result, m, ["a", "s", "d"])
+
     def test_errors(self, silent_machine):
         result = desilent(silent_machine)
         with pytest.raises(UsageError):

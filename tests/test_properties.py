@@ -88,7 +88,7 @@ def cached_values(m):
 @given(machines(allow_silent=True), st.data())
 @COMMON
 def test_replace_matches_the_constructor(m, data):
-    cached_values(m)    # so that replace has every cached value to keep or drop
+    cached_values(m)    # a copy must match the constructor even when m has every value built
     fields = dict(states=m.states, initial=m.initial, label=m.label, trans=m.trans,
                   critical=m.critical)
     state = st.sampled_from(m.states)
@@ -112,6 +112,19 @@ def test_replace_matches_the_constructor(m, data):
     with pytest.raises(UsageError) as expected:
         Fsm(**{**fields, **kw})
     assert str(refused.value) == str(expected.value)
+
+
+@given(machines(allow_silent=True))
+@COMMON
+def test_restriction_matches_the_constructor(m):
+    assert "pi" not in vars(m)      # so the restriction is the first to ask for m's Pi
+    r = build_restricted(m)
+    built = Fsm(m.states, m.initial, m.label,
+                [t for t in m.trans if t[0] not in m.critical], m.critical)
+    assert r == built
+    # it holds m's very universe, label and Pi, built on m
+    assert r.universe is m.universe and r.label is m.label and r.pi is m.pi
+    assert cached_values(r) == cached_values(built)
 
 
 @given(analysis_machines())
