@@ -15,10 +15,16 @@ that is removed afterwards.  On each machine the commands are
 Besides, ``observe FILE --property P --json --trace SYMBOLS`` runs for the
 four properties the estimator serves on each many-labels walk, and
 ``oracle FILE --property P --json --horizon 6`` for the eight properties
-on each fixture.  On each fixture ``check FILE --property P --json`` also
-runs with ``--initial`` and ``--critical`` overrides, some naming a
-declared state and some not, for P in eventual, diag and parametric, the
-last two reading the restriction of the overridden machine.  Last,
+on each fixture.  On each fixture ``observe`` also runs for those four
+properties, with and without ``--json``, on three traces: the outputs of
+a seeded random walk, the same with a symbol that is no output in its
+middle, and a prefix of the walk's outputs followed by an output that no
+execution produces after it, so that the rejected-symbol, one-shot and
+error paths of the estimator are compared too.  On each fixture
+``check FILE --property P --json`` also runs with ``--initial`` and
+``--critical`` overrides, some naming a declared state and some not, for P
+in eventual, diag and parametric, the last two reading the restriction of
+the overridden machine.  Last,
 ``validate FILE --json`` and ``check FILE --property eventual --json`` run
 on each file of a malformed corpus written to the temporary directory: one
 text per way the loader refuses a file, a file that is not UTF-8 and an
@@ -34,6 +40,7 @@ import argparse
 import glob
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -122,6 +129,45 @@ def walks(directory):
         yield path, " ".join(label[s] for s in walk)
 
 
+def traces(path):
+    """The clean, unknown-symbol and inconsistent traces of a fixture: the
+    outputs along a random walk of 24 states seeded by the file name; the
+    same with a symbol that is no output in its middle; and the walk's
+    outputs up to the last step after which some output of the machine
+    continues no execution, followed by that output."""
+    label, initial, succ = {}, [], {}
+    with open(path, encoding="utf-8") as fh:
+        for t in map(str.split, fh):
+            if t[:1] == ["state"]:
+                label[t[1]] = t[2][len("output="):]
+                succ[t[1]] = []
+                if "init" in t[3:]:
+                    initial.append(t[1])
+            elif t[:1] == ["trans"]:
+                succ[t[1]].append(t[2])
+    rng = random.Random(os.path.basename(path))
+    walk = [rng.choice(initial)]
+    while len(walk) < 24 and succ[walk[-1]]:
+        walk.append(rng.choice(succ[walk[-1]]))
+    clean = [label[s] for s in walk]
+    outputs = sorted(set(label.values()))
+    unknown = "z"
+    while unknown in outputs:
+        unknown += "z"
+    # the states some execution producing clean[:i + 1] ends in
+    inconsistent, now = clean, {s for s in initial if label[s] == clean[0]}
+    for i in range(1, len(clean) + 1):
+        after = {t for s in now for t in succ[s]}
+        dead = [y for y in outputs if all(label[t] != y for t in after)]
+        if dead:
+            inconsistent = clean[:i] + dead[:1]
+        if i < len(clean):
+            now = {t for t in after if label[t] == clean[i]}
+    middle = len(clean) // 2
+    return [" ".join(trace) for trace in
+            (clean, clean[:middle] + [unknown] + clean[middle:], inconsistent)]
+
+
 def first_state(path):
     with open(path, encoding="utf-8") as fh:
         return next(t[1] for t in map(str.split, fh) if t[:1] == ["state"])
@@ -149,6 +195,9 @@ def commands(tmp):
                      "--provenance", "prov%d.json" % k])
     runs += [["oracle", path, "--property", p, "--json", "--horizon", "6"]
              for path in fixtures() for p in PROPERTIES]
+    runs += [["observe", path, "--property", p] + fmt + ["--trace", trace]
+             for path in fixtures() for p in OBSERVED for trace in traces(path)
+             for fmt in ([], ["--json"])]
     for path in fixtures():
         s = first_state(path)
         runs += [["check", path, "--property", p, "--json"]

@@ -23,18 +23,28 @@ of the older set with a successor in the later one.  Each is a pure
 function of its key, so a hit gives what recomputing would, and events and
 windows stay exact; a stream that revisits a few sets pays for each step
 once.  Every set the two caches hand out is interned through a third, so
-equal sets are stored once and later lookups match them by identity.  The
-unknown-symbol check runs before any lookup, and a rejected symbol leaves
-the window as it was.  The caches are ``functools.lru_cache`` wrappers of
-``MEMO_CAP`` entries each over module-level functions, so the least
-recently used entry goes first, ``cache_info()`` reports a session's hits
-and misses, and the caches die with the session.  They hold the machine's
-indexes but not the ``Estimator``, so a finished session is freed without
-waiting for the cycle collector.
+equal sets are stored once and later lookups match them by identity.
+
+A symbol after the first costs one forward-memo probe and a few local
+tests.  The unknown-symbol check runs on the forward memo's miss path: a
+hit means the symbol was accepted before, and a cache stores no exception,
+so a rejected symbol is checked again each time and leaves the window as it
+was.  The forward step gives ``None`` as the kept states when it drops
+none, so narrowing is tried only when a set shrinks, and the event test
+starts with one integer comparison that covers both the threshold and a
+one-shot session that has already reported.
+
+The caches are ``functools.lru_cache`` wrappers of ``MEMO_CAP`` entries
+each over module-level functions, so the least recently used entry goes
+first, ``cache_info()`` reports a session's hits and misses, and the caches
+die with the session.  They hold the machine's indexes but not the
+``Estimator``, so a finished session is freed without waiting for the cycle
+collector.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -48,16 +58,19 @@ from .model import Fsm
 MEMO_CAP = 1024
 
 
-def _advance(succ_by_label, interned, prev: frozenset, y) -> tuple:
+def _advance(succ_by_label, outputs, interned, prev: frozenset, y) -> tuple:
     """The forward step from ``prev`` on ``y``: the states of ``prev`` with
-    a ``y``-successor, and those successors."""
+    a ``y``-successor, ``None`` if that is all of them, and those
+    successors.  A ``y`` that is no output raises UsageError."""
+    if y not in outputs:
+        raise UsageError("symbol %r is not an output of the machine" % (y,))
     keep, cur = [], set()
     for s in prev:
         after = succ_by_label[s].get(y)
         if after:
             keep.append(s)
             cur |= after
-    keep = prev if len(keep) == len(prev) else interned(frozenset(keep))
+    keep = None if len(keep) == len(prev) else interned(frozenset(keep))
     return keep, interned(frozenset(cur))
 
 
@@ -100,30 +113,32 @@ class Estimator:
         self.events = []
         # state sets at steps k - d .. k, each narrowed by the whole stream
         self._window = deque(maxlen=self.lag + 1)
-        self._done = False
+        # no event before this step: the threshold, or never once a
+        # one-shot session has reported
+        self._quiet = self.threshold
+        self._critical = m.critical
         # the caches close over the machine's indexes, never over self
         self._interned = lru_cache(MEMO_CAP)(_itself)
         self._advance = lru_cache(MEMO_CAP)(
-            partial(_advance, m.succ_by_label, self._interned))
+            partial(_advance, m.succ_by_label, m.outputs, self._interned))
         self._narrow = lru_cache(MEMO_CAP)(partial(_narrow, m.succ, self._interned))
 
     def step(self, y) -> "DiagnosisEvent | None":
         """Consume one output symbol; return a detection event, if any."""
-        if y not in self.m.outputs:
-            raise UsageError("symbol %r is not an output of the machine" % (y,))
-        window = self._window
-        if self.k == 0:
-            prev, keep = (), ()
-            cur = frozenset(s for s in self.m.initial if self.m.label[s] == y)
+        window, k = self._window, self.k
+        if k:
+            keep, cur = self._advance(window[-1], y)
         else:
-            prev = window[-1]
-            keep, cur = self._advance(prev, y)
+            if y not in self.m.outputs:
+                raise UsageError("symbol %r is not an output of the machine" % (y,))
+            keep = None
+            cur = frozenset(s for s in self.m.initial if self.m.label[s] == y)
         if not cur:
             raise InconsistentObservationError(
                 "no execution of the machine produces this output stream")
         window.append(cur)
-        self.k += 1
-        if len(keep) < len(prev) and len(window) > 1:
+        self.k = k = k + 1
+        if keep is not None and len(window) > 1:
             # the newest older set loses the states with no y-successor;
             # each older set then loses the states with no successor left
             # in the set after it, until one loses nothing
@@ -134,10 +149,10 @@ class Estimator:
                 if len(narrowed) == len(older):
                     break
                 window[i] = later = narrowed
-        if self._done or self.k < self.threshold:
+        if k < self._quiet:
             return None
-        est = self.current_estimate()
-        if est.isdisjoint(self.m.critical):
+        est = window[0]
+        if est.isdisjoint(self._critical):
             return None
         pin = self.k - self.lag
         if est <= self.m.critical:
@@ -154,7 +169,7 @@ class Estimator:
         event = DiagnosisEvent(self.k, window, window[0] == window[1])
         self.events.append(event)
         if self.one_shot:
-            self._done = True
+            self._quiet = sys.maxsize
         return event
 
     def current_estimate(self) -> frozenset:

@@ -13,6 +13,7 @@ machine by one forward search per entering state (``silent_runs``).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import PreconditionError, UsageError
@@ -147,22 +148,22 @@ def desilent(m: Fsm) -> SilentRemovalResult:
 
     # drop sink states until none remain; dropping one takes a live successor
     # from each predecessor, and those left with none are sinks in turn
-    live = dict.fromkeys(states, 0)
-    pre = {s: [] for s in states}
-    for a, b in trans:
-        live[a] += 1
-        pre[b].append(a)
+    live = Counter(a for a, _ in trans)
     sinks = [s for s in states if not live[s]]
-    for s in sinks:             # grows while it is read
-        for p in pre[s]:
-            live[p] -= 1
-            if not live[p]:
-                sinks.append(p)
-    states -= set(sinks)
+    if sinks:
+        pre = {}
+        for a, b in trans:
+            pre.setdefault(b, []).append(a)
+        for s in sinks:         # grows while it is read
+            for p in pre.get(s, ()):
+                live[p] -= 1
+                if not live[p]:
+                    sinks.append(p)
+        states -= set(sinks)
+        trans = {(a, b) for (a, b) in trans if a in states and b in states}
     if not states:
         raise PreconditionError("silent-state removal leaves no state: "
                                 "every execution ends in a state without successor")
-    trans = {(a, b) for (a, b) in trans if a in states and b in states}
 
     m_hat = Fsm(states, initial & states,
                 {s: label[s] for s in states}, trans, critical & states)

@@ -313,6 +313,15 @@ class TestObserve:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("trace", ["c b z", "z c"], ids=["mid-stream", "first"])
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_unknown_symbol(self, capsys, trace, fmt):
+        code, out, err = run(capsys, "observe", M1, "--property", "eventual",
+                             "--trace", trace, *fmt)
+        assert code == 2
+        assert err == "error: symbol 'z' is not an output of the machine\n"
+        assert out == ""
+
     def test_stdin(self, capsys, monkeypatch):
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO("c\nb\na\nb\n"))

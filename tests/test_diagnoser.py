@@ -167,6 +167,36 @@ def test_memo_cap_keeps_events(m1, m1_verdict, monkeypatch):
     assert run(1) == events
 
 
+def test_one_forward_probe_per_symbol(m1, m1_verdict):
+    # every symbol after the first is one lookup in the forward memo, hit
+    # or miss; the other two memos stay bounded meanwhile
+    est = Estimator(m1, m1_verdict)
+    for y in "b a b c".split() * 2500:
+        est.step(y)
+    info = est._advance.cache_info()
+    assert info.hits + info.misses == est.k - 1
+    for memo in (est._narrow, est._interned):
+        assert memo.cache_info().currsize <= diagnoser.MEMO_CAP
+
+
+def test_rejected_symbol_on_a_warm_memo(m1, m1_verdict):
+    # the unknown-symbol check runs on the forward memo's miss path, and a
+    # cache stores no exception: a rejected symbol is rejected every time and
+    # leaves the session as it would be without it
+    symbols = "b a b c".split() * 25
+    _, expected = observe(m1, m1_verdict, symbols * 2)
+    est = Estimator(m1, m1_verdict)
+    events = [est.step(y) for y in symbols]
+    k, now = est.k, est.current_estimate()
+    for _ in range(2):
+        with pytest.raises(UsageError, match="symbol 'z' is not an output"):
+            est.step("z")
+        assert est.k == k
+        assert est.current_estimate() == now
+    events += [est.step(y) for y in symbols]
+    assert [ev for ev in events if ev is not None] == expected
+
+
 def test_finished_session_is_freed_without_the_cycle_collector(m1, m1_verdict):
     # the memo caches must not refer back to the session: a cycle would keep
     # every finished session alive until the cycle collector runs
