@@ -16,11 +16,17 @@ Besides, ``observe FILE --property P --json --trace SYMBOLS`` runs for the
 four properties the estimator serves on each many-labels walk, and
 ``oracle FILE --property P --json --horizon 6`` for the eight properties
 on each fixture.  On each fixture ``observe`` also runs for those four
-properties, with and without ``--json``, on three traces: the outputs of
-a seeded random walk, the same with a symbol that is no output in its
-middle, and a prefix of the walk's outputs followed by an output that no
-execution produces after it, so that the rejected-symbol, one-shot and
-error paths of the estimator are compared too.  On each fixture
+properties, with and without ``--json``, on up to five traces: the
+outputs of a seeded random walk, the same with a symbol that is no output
+in its middle, a prefix of the walk's outputs followed by an output that no
+execution produces after it, the walk's outputs after a first symbol that
+is no output, and, where the fixture has one, after a first symbol that is
+the output of no initial state.  Since no observed property holds on the
+fixtures that have such an output, ``observe`` also runs with
+``--initial`` set to the first state the fixture declares, on the walk's
+outputs after the least output of another state.  So the rejected-symbol,
+one-shot and error paths of the estimator are compared too, on the first
+symbol as on later ones.  On each fixture
 ``check FILE --property P --json`` also runs with ``--initial`` and
 ``--critical`` overrides, some naming a declared state and some not, for P
 in eventual, diag and parametric, the last two reading the restriction of
@@ -130,11 +136,15 @@ def walks(directory):
 
 
 def traces(path):
-    """The clean, unknown-symbol and inconsistent traces of a fixture: the
-    outputs along a random walk of 24 states seeded by the file name; the
-    same with a symbol that is no output in its middle; and the walk's
-    outputs up to the last step after which some output of the machine
-    continues no execution, followed by that output."""
+    """(overrides, trace) of each clean, unknown-symbol and inconsistent
+    trace of a fixture: the outputs along a random walk of 24 states seeded
+    by the file name; the same with a symbol that is no output in its
+    middle; the walk's outputs up to the last step after which some output
+    of the machine continues no execution, followed by that output; the
+    walk's outputs after a first symbol that is no output, and after the
+    least output of no initial state, if there is one.  The last, with the
+    first declared state as the only initial one, is the walk's outputs
+    after the least output of another state, if there is one."""
     label, initial, succ = {}, [], {}
     with open(path, encoding="utf-8") as fh:
         for t in map(str.split, fh):
@@ -164,8 +174,15 @@ def traces(path):
         if i < len(clean):
             now = {t for t in after if label[t] == clean[i]}
     middle = len(clean) // 2
-    return [" ".join(trace) for trace in
-            (clean, clean[:middle] + [unknown] + clean[middle:], inconsistent)]
+    # "_" is the silent output, which no trace can carry
+    starts = [unknown] + sorted(set(outputs) - {label[s] for s in initial} - {"_"})[:1]
+    first = first_state(path)
+    plain = [([], trace) for trace in
+             [clean, clean[:middle] + [unknown] + clean[middle:], inconsistent]
+             + [[y] + clean for y in starts]]
+    alone = [(["--initial", first], [y] + clean)
+             for y in sorted(set(outputs) - {label[first], "_"})[:1]]
+    return [(overrides, " ".join(trace)) for overrides, trace in plain + alone]
 
 
 def first_state(path):
@@ -195,8 +212,8 @@ def commands(tmp):
                      "--provenance", "prov%d.json" % k])
     runs += [["oracle", path, "--property", p, "--json", "--horizon", "6"]
              for path in fixtures() for p in PROPERTIES]
-    runs += [["observe", path, "--property", p] + fmt + ["--trace", trace]
-             for path in fixtures() for p in OBSERVED for trace in traces(path)
+    runs += [["observe", path, "--property", p] + overrides + fmt + ["--trace", trace]
+             for path in fixtures() for p in OBSERVED for overrides, trace in traces(path)
              for fmt in ([], ["--json"])]
     for path in fixtures():
         s = first_state(path)

@@ -5,41 +5,42 @@ critical set with the delay and uncertainty window guaranteed by a checker
 verdict.  The estimate at lag d = max{f, l} - 1 is computed exactly, by
 fixed-lag smoothing: a window of the last d + 1 state sets is kept, each
 narrowed to the states that some execution consistent with the whole stream
-so far passes through at that step.  A new symbol extends the newest set
-through the machine's successors-by-label index, then narrows the window
-backward only until a set stops shrinking, since a set cannot shrink unless
-the set after it did.  Each step thus costs the newest set's successors plus
-the sets that actually lose states, independently of the lag, and the
-estimate is the oldest set, read without a rescan.  Propagating only the
-(lagged state, current state) endpoint pairs would over-approximate the
-lagged estimate, because it forgets whether a single execution connects the
-two endpoints through the window.
+so far passes through at that step.  A new symbol extends the newest set to
+its successors with that output, the first symbol the initial states with
+it, then narrows the window backward only until a set stops shrinking,
+since a set cannot shrink unless the set after it did.  Each step thus
+costs the newest set's successors plus the sets that actually lose states,
+independently of the lag, and the estimate is the oldest set, read without
+a rescan.  Propagating only the (lagged state, current state) endpoint
+pairs would over-approximate the lagged estimate, because it forgets
+whether a single execution connects the two endpoints through the window.
 
 Both set operations are memoized per session, in the manner of a lazily
 built subset automaton: the forward step, (newest set, symbol) -> (states
 of the set with a successor of that symbol, their successors of that
-symbol), and the backward narrowing, (older set, later set) -> the states
-of the older set with a successor in the later one.  Each is a pure
-function of its key, so a hit gives what recomputing would, and events and
-windows stay exact; a stream that revisits a few sets pays for each step
-once.  Every set the two caches hand out is interned through a third, so
-equal sets are stored once and later lookups match them by identity.
+symbol), the newest set being ``None`` before the first symbol, whose step
+gives the initial states with that output; and the backward narrowing,
+(older set, later set) -> the states of the older set with a successor in
+the later one.  Each is a pure function of its key, so a hit gives what
+recomputing would, and events and windows stay exact; a stream that
+revisits a few sets pays for each step once.  Every set the two caches hand
+out is interned through a third, so equal sets are stored once and later
+lookups match them by identity.
 
-A symbol after the first costs one forward-memo probe and a few local
-tests.  The unknown-symbol check runs on the forward memo's miss path: a
-hit means the symbol was accepted before, and a cache stores no exception,
-so a rejected symbol is checked again each time and leaves the window as it
-was.  The forward step gives ``None`` as the kept states when it drops
-none, so narrowing is tried only when a set shrinks, and the event test
-starts with one integer comparison that covers both the threshold and a
-one-shot session that has already reported.
+Every symbol, the first included, costs one forward-memo probe and a few
+local tests.  The unknown-symbol check runs on the forward memo's miss
+path: a hit means the symbol was accepted before, and a cache stores no
+exception, so a rejected symbol is checked again each time and leaves the
+window as it was.  The forward step gives ``None`` as the kept states when
+it drops none, so narrowing is tried only when a set shrinks, and the event
+test starts with one integer comparison that covers both the threshold and
+a one-shot session that has already reported.
 
 The caches are ``functools.lru_cache`` wrappers of ``MEMO_CAP`` entries
 each over module-level functions, so the least recently used entry goes
 first, ``cache_info()`` reports a session's hits and misses, and the caches
-die with the session.  They hold the machine's indexes but not the
-``Estimator``, so a finished session is freed without waiting for the cycle
-collector.
+die with the session.  They hold the machine but not the ``Estimator``, so
+a finished session is freed without waiting for the cycle collector.
 """
 
 from __future__ import annotations
@@ -58,18 +59,23 @@ from .model import Fsm
 MEMO_CAP = 1024
 
 
-def _advance(succ_by_label, outputs, interned, prev: frozenset, y) -> tuple:
+def _advance(m: Fsm, interned, prev, y) -> tuple:
     """The forward step from ``prev`` on ``y``: the states of ``prev`` with
     a ``y``-successor, ``None`` if that is all of them, and those
-    successors.  A ``y`` that is no output raises UsageError."""
-    if y not in outputs:
+    successors.  ``prev`` is ``None`` before the first symbol, which keeps
+    ``None`` and reaches the initial states with output ``y``.  A ``y``
+    that is no output raises UsageError."""
+    if y not in m.outputs:
         raise UsageError("symbol %r is not an output of the machine" % (y,))
+    label = m.label
+    if prev is None:
+        return None, interned(frozenset(s for s in m.initial if label[s] == y))
     keep, cur = [], set()
     for s in prev:
-        after = succ_by_label[s].get(y)
+        after = [t for t in m.succ(s) if label[t] == y]
         if after:
             keep.append(s)
-            cur |= after
+            cur.update(after)
     keep = None if len(keep) == len(prev) else interned(frozenset(keep))
     return keep, interned(frozenset(cur))
 
@@ -101,7 +107,12 @@ class Estimator:
             raise UsageError("no online diagnoser for property %r" % kind.value)
         if not verdict.holds:
             raise UsageError("cannot observe a machine for which the property fails")
-        b, f, g, l = verdict.bfgl
+        bfgl = verdict.bfgl
+        if not (isinstance(bfgl, tuple) and len(bfgl) == 4
+                and all(isinstance(i, int) and i >= 1 for i in bfgl)):
+            raise UsageError("a holding verdict needs four indices (b, f, g, l) of at "
+                             "least 1, not %r" % (bfgl,))
+        b, f, g, l = bfgl
         self.m = m
         self.verdict = verdict
         self.lag = max(f, l) - 1
@@ -117,22 +128,15 @@ class Estimator:
         # one-shot session has reported
         self._quiet = self.threshold
         self._critical = m.critical
-        # the caches close over the machine's indexes, never over self
+        # the caches close over the machine, never over self
         self._interned = lru_cache(MEMO_CAP)(_itself)
-        self._advance = lru_cache(MEMO_CAP)(
-            partial(_advance, m.succ_by_label, m.outputs, self._interned))
+        self._advance = lru_cache(MEMO_CAP)(partial(_advance, m, self._interned))
         self._narrow = lru_cache(MEMO_CAP)(partial(_narrow, m.succ, self._interned))
 
     def step(self, y) -> "DiagnosisEvent | None":
         """Consume one output symbol; return a detection event, if any."""
         window, k = self._window, self.k
-        if k:
-            keep, cur = self._advance(window[-1], y)
-        else:
-            if y not in self.m.outputs:
-                raise UsageError("symbol %r is not an output of the machine" % (y,))
-            keep = None
-            cur = frozenset(s for s in self.m.initial if self.m.label[s] == y)
+        keep, cur = self._advance(window[-1] if k else None, y)
         if not cur:
             raise InconsistentObservationError(
                 "no execution of the machine produces this output stream")
@@ -155,7 +159,7 @@ class Estimator:
         if est.isdisjoint(self._critical):
             return None
         pin = self.k - self.lag
-        if est <= self.m.critical:
+        if est <= self._critical:
             window = (pin, pin)
         else:
             window = (max(1, pin - (self.g - 1)), pin + self.l - 1)

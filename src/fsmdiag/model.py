@@ -173,20 +173,6 @@ class Fsm:
         moves = Counter((label[s], label[t]) for s, t in self.trans)
         return sum(t * t for t in moves.values()) / len(self.pi)
 
-    @cached_property
-    def succ_by_label(self):
-        """For each state, its successors grouped by their output label:
-        ``succ_by_label[s][y]`` is the nonempty set of y-labelled successors
-        of s, and labels without one are absent.  Built once per machine;
-        the online estimator advances its state sets over it."""
-        index = {}
-        for s in self.states:
-            groups = {}
-            for t in self._succ_lists[s]:
-                groups.setdefault(self.label[t], set()).add(t)
-            index[s] = {y: frozenset(ts) for y, ts in groups.items()}
-        return index
-
     def is_silent(self, i):
         return self.label[i] == EPSILON
 

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -35,6 +36,11 @@ class TestSetup:
         with pytest.raises(UsageError):
             Estimator(m1, check(m1, "exact-step"))
 
+    @pytest.mark.parametrize("bfgl", [None, (1, 2), (1, 2, "x", 4), (1, 1, 0, 0)])
+    def test_rejects_holding_verdict_without_four_indices(self, m1, m1_verdict, bfgl):
+        with pytest.raises(UsageError, match="four indices"):
+            Estimator(m1, replace(m1_verdict, bfgl=bfgl))
+
 
 class TestStep:
     def test_detection_stream(self, m1, m1_verdict):
@@ -55,6 +61,26 @@ class TestStep:
         est = Estimator(m1, m1_verdict)
         with pytest.raises(UsageError):
             est.step("z")
+
+    def test_unknown_first_symbol(self, m1, m1_verdict):
+        # the rejected symbol leaves the session as fresh as it was
+        symbols = "c b a b".split() * 3
+        est = Estimator(m1, m1_verdict)
+        with pytest.raises(UsageError, match="symbol 'z' is not an output"):
+            est.step("z")
+        assert est.k == 0
+        events = [ev for ev in map(est.step, symbols) if ev is not None]
+        assert events == observe(m1, m1_verdict, symbols)[1]
+
+    def test_first_symbol_of_no_initial_state(self, m2_single):
+        # only state 1, labelled a, is initial: no execution starts with c
+        est = Estimator(m2_single, check(m2_single, "diag"))
+        with pytest.raises(InconsistentObservationError):
+            est.step("c")
+        assert est.k == 0
+        est.step("a")
+        assert est.k == 1
+        assert est.current_estimate() == {"1"}
 
     def test_inconsistent_stream(self, m1, m1_verdict):
         est = Estimator(m1, m1_verdict)
@@ -168,13 +194,13 @@ def test_memo_cap_keeps_events(m1, m1_verdict, monkeypatch):
 
 
 def test_one_forward_probe_per_symbol(m1, m1_verdict):
-    # every symbol after the first is one lookup in the forward memo, hit
-    # or miss; the other two memos stay bounded meanwhile
+    # every symbol, the first included, is one lookup in the forward memo,
+    # hit or miss; the other two memos stay bounded meanwhile
     est = Estimator(m1, m1_verdict)
     for y in "b a b c".split() * 2500:
         est.step(y)
     info = est._advance.cache_info()
-    assert info.hits + info.misses == est.k - 1
+    assert info.hits + info.misses == est.k
     for memo in (est._narrow, est._interned):
         assert memo.cache_info().currsize <= diagnoser.MEMO_CAP
 

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -301,6 +302,34 @@ class TestAgreement:
                                            DiagParams(0, 0, horizon_t, 0, 0),
                                            Horizon(2 * n2))
                     assert out.violated
+
+    def test_exact_step_and_critical_obs_are_tight(self):
+        # every holding exact-step verdict passes at its own parameters, and
+        # each positive tau or delta one lower is violated (a violation
+        # found within a finite horizon is genuine); critical-obs holds only
+        # at all zeros
+        exact = lowered = obs = 0
+        for seed in range(3000, 4000):
+            m = random_live_fsm(random.Random(seed), 6, 3)
+            v = check(m, "exact-step")
+            if v.holds:
+                exact += 1
+                p = v.params
+                h = Horizon(p.tau + p.delta + 2 * len(m.states) + 2)
+                assert not check_definition(m, "exact-step", p, h).violated, (seed, p)
+                lower = [replace(p, tau=p.tau - 1)] if p.tau else []
+                if p.delta:
+                    lower.append(replace(p, delta=p.delta - 1,
+                                         gamma2=min(p.gamma2, p.delta - 1)))
+                for q in lower:
+                    assert check_definition(m, "exact-step", q, h).violated, (seed, p, q)
+                lowered += len(lower)
+            v = check(m, "critical-obs")
+            if v.holds:
+                obs += 1
+                p = v.params
+                assert (p.tau, p.delta, p.gamma1, p.gamma2) == (0, 0, 0, 0), (seed, p)
+        assert exact and lowered and obs
 
     def test_detect_only_crossing_matches_first_crossing_verdict(
             self, m1, m2_single, fork):
