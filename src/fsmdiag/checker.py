@@ -114,19 +114,20 @@ class DiagVerdict:
 class Analysis:
     """Memoized fixed-point computations for one machine.
 
-    Every series is computed lazily, and each of its forms at most once: the
-    whole series (the attributes below) and, for F, B and B~, the view on
-    the cone of the mixed pairs that :meth:`on_mixed` gives the checks that
-    read only those.  Each property's verdict is decided once too
-    (``verdicts``, filled by :func:`check`); the object is immutable from
-    the caller's perspective and safe to share.
+    Every series is computed lazily.  S, S~, Lambda and Gamma are built
+    whole, at most once.  F, B and B~ are held in one form each: the view on
+    the cone of the mixed pairs that a check reading only those asks for
+    through :meth:`on_mixed`, or the whole series, which replaces the view
+    when another reader asks for it (:meth:`_series`).  Each property's
+    verdict is decided once too (``verdicts``, filled by :func:`check`); the
+    object is immutable from the caller's perspective and safe to share.
     """
 
     def __init__(self, m: Fsm):
         validate(m, "analysis").require()
         self.m = m
         self.verdicts = {}
-        self._views = {}
+        self._held = {}
 
     @property
     def pi(self):
@@ -144,20 +145,10 @@ class Analysis:
     def s_tilde(self):
         return s_series(self.restricted)
 
-    @cached_property
-    def f(self):
-        return f_series(self.m)
-
-    @cached_property
-    def b(self):
-        """Backward series seeded with the joint-reachability fixed point."""
-        return b_series(self.m, self.s.fixed_point)
-
-    @cached_property
-    def b_tilde(self):
-        """Backward series of the restricted machine, seeded with its own
-        joint-reachability fixed point."""
-        return b_series(self.restricted, self.s_tilde.fixed_point)
+    # the whole of F, B and B~ (machine and seed of each in ``_series``)
+    f = property(lambda self: self._series("f"))
+    b = property(lambda self: self._series("b"))
+    b_tilde = property(lambda self: self._series("b_tilde"))
 
     @cached_property
     def lam(self):
@@ -169,33 +160,35 @@ class Analysis:
 
     def on_mixed(self, name: str) -> FixpointSeries:
         """The series ``name`` ("f", "b" or "b_tilde") as far as a check that
-        reads it on mixed pairs only needs it: the whole series if that is
-        built, and otherwise the series asked for the mixed pairs
-        (``Fsm.mixed``) as ``within``, exact there and possibly only on
-        their cone.  A view whose first relation is the whole seed, as on
-        the engine's product path, is the whole series and is kept as such,
-        so neither form is ever built twice.  Any other name raises
-        UsageError."""
+        reads it on mixed pairs only needs it: the form held, if any, and
+        otherwise the series asked for the mixed pairs (``Fsm.mixed``) as
+        ``within``, exact there and possibly only on their cone.  Any other
+        name raises UsageError."""
         if name not in ("f", "b", "b_tilde"):
             raise UsageError("no view on the mixed pairs of series %r" % (name,))
-        if name in self.__dict__:       # where cached_property keeps the whole series
-            return self.__dict__[name]
-        view = self._views.get(name)
-        if view is None:
-            within = self.m.mixed
-            if name == "f":
-                seed, view = self.pi, f_series(self.m, within)
-            elif name == "b":
-                seed = self.s.fixed_point
-                view = b_series(self.m, seed, within)
-            else:
-                seed = self.s_tilde.fixed_point
-                view = b_series(self.restricted, seed, within)
-            if view.first == seed:
-                self.__dict__[name] = view
-            else:
-                self._views[name] = view
-        return view
+        return self._series(name, mixed=True)
+
+    def _series(self, name: str, mixed: bool = False) -> FixpointSeries:
+        """F ("f": forward on the machine, seeded with Pi), B ("b": backward
+        on the machine, seeded with S*) or B~ ("b_tilde": backward on the
+        restricted machine, seeded with S~*), in the one form held of it.
+        The form held serves a reader of the mixed pairs (``mixed``) always,
+        and any other reader when its first relation is the whole seed, as
+        on the engine's product path or when a cone covers the seed.
+        Otherwise the series is built, for the mixed pairs if ``mixed`` and
+        whole if not, and held in place of the old form."""
+        if name == "f":
+            m, seed = self.m, self.pi
+        elif name == "b":
+            m, seed = self.m, self.s.fixed_point
+        else:
+            m, seed = self.restricted, self.s_tilde.fixed_point
+        held = self._held.get(name)
+        if held is None or not mixed and held.first != seed:
+            within = self.m.mixed if mixed else None
+            held = self._held[name] = (f_series(m, within) if name == "f"
+                                       else b_series(m, seed, within))
+        return held
 
 
 def _witness(rel: PairRelation, name: str):

@@ -53,7 +53,12 @@ class Fsm:
     """
 
     def __init__(self, states, initial, label, trans, critical=()):
-        states = tuple(sorted(set(states)))
+        try:
+            states = tuple(sorted(set(states)))
+            initial, critical = frozenset(initial), frozenset(critical)
+        except TypeError:
+            raise UsageError("states, initial and critical must be collections "
+                             "of string state ids") from None
         if not states:
             raise UsageError("a machine needs at least one state")
         self.states = states
@@ -80,7 +85,6 @@ class Fsm:
         self._set_trans(trans)
 
     def _declared(self, what, chosen):
-        chosen = frozenset(chosen)
         if not chosen <= self.universe.index.keys():
             raise UsageError("%s states %s not declared"
                              % (what, sorted(chosen - set(self.states))))
@@ -100,6 +104,8 @@ class Fsm:
                 pre[b].append(a)
         except KeyError:
             raise UsageError("transition (%s, %s) uses undeclared states" % (a, b)) from None
+        except ValueError:
+            raise UsageError("a transition is a pair of states") from None
         self.trans = trans
         self._succ_lists, self._pre_lists = succ, pre
 

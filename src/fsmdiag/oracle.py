@@ -30,7 +30,7 @@ class Horizon:
     budget: Optional[int] = None
 
     def __post_init__(self):
-        if self.length < 1:
+        if not isinstance(self.length, int) or self.length < 1:
             raise UsageError("horizon length must be >= 1")
 
 

@@ -108,11 +108,13 @@ class PairRelation:
     def from_pairs(cls, universe, pairs):
         index, n = universe.index, universe.n
         bits = 0
-        for a, b in pairs:
-            try:
+        try:
+            for a, b in pairs:
                 bits |= 1 << (index[a] * n + index[b])
-            except KeyError:
-                raise UsageError("pair (%s, %s) outside the state universe" % (a, b)) from None
+        except KeyError:
+            raise UsageError("pair (%s, %s) outside the state universe" % (a, b)) from None
+        except ValueError:
+            raise UsageError("a pair has two states") from None
         return cls(universe, bits)
 
     @classmethod

@@ -65,14 +65,19 @@ def test_check_builds_pi_once(m1, monkeypatch, prop):
     assert builds == [m1]
 
 
-def test_on_mixed_takes_only_f_b_and_b_tilde(fork):
+def test_on_mixed_takes_only_f_b_and_b_tilde(fork, monkeypatch):
     # any other name is refused before a build, so no view can take the
     # slot of another series
+    builds = []
+    for name in ("f_series", "b_series"):
+        monkeypatch.setattr(checker, name, lambda *args, name=name: builds.append(name))
     a = Analysis(fork)
     for name in ("lam", "gam", "s", "s_tilde", "F", ""):
         with pytest.raises(UsageError, match="no view"):
             a.on_mixed(name)
-    assert a.__dict__.keys().isdisjoint(["lam", "gam", "s", "s_tilde", "b_tilde"])
+    assert builds == []
+    assert a.__dict__.keys().isdisjoint(["lam", "gam", "s", "s_tilde"])
+    monkeypatch.undo()
     assert a.lam == lambda_series(fork, a.s.fixed_point)
     # with a view of B~ in Lambda's slot, diag read delta = gamma1 = gamma2 = 1
     m = Fsm("123", "3", {"1": "c", "2": "a", "3": "b"},

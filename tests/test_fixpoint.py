@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -360,6 +361,16 @@ class TestEnginePath:
         assert self.builds(monkeypatch, m, lambda: [check(m, p, a) for p in props]) == [
             ("b", "product"), ("f", "product")]
         assert a.on_mixed("f") is a.f and a.on_mixed("b") is a.b
+
+    def test_the_whole_series_replaces_the_view(self):
+        # the analysis holds one form of F: once the whole series is built,
+        # nothing keeps the view on the cone of the mixed pairs alive
+        m = ring_machine("abcdefgh", [(2,), (5,)])
+        a = Analysis(m)
+        view = weakref.ref(a.on_mixed("f"))
+        assert view().first != m.pi
+        assert a.f.first == m.pi and a.on_mixed("f") is a.f
+        assert view() is None
 
 
 def test_views_agree_with_the_whole_series_on_their_pairs(m1, m2, fork):

@@ -3,8 +3,8 @@ import re
 import pytest
 
 from fsmdiag import (
-    EPSILON, BudgetExceededError, Fsm, ParseError, PreconditionError, UsageError,
-    build_restricted, crossing_index, enumerate_executions, fsm_to_text,
+    EPSILON, BudgetExceededError, Fsm, Horizon, PairRelation, ParseError, PreconditionError,
+    Universe, UsageError, build_restricted, crossing_index, enumerate_executions, fsm_to_text,
     is_execution, load_fsm, output_of, parse_fsm, validate,
 )
 from conftest import fixture_path
@@ -104,6 +104,28 @@ class TestFsm:
     def test_constructor_rejects(self, kwargs, message):
         with pytest.raises(UsageError, match=re.escape(message)):
             Fsm(**kwargs)
+
+
+# library calls with malformed arguments, each refused with its message
+MALFORMED_CALLS = {
+    "one-state-transition": (lambda: Fsm(["1"], ["1"], {"1": "a"}, [("1",)]),
+                             "a transition is a pair of states"),
+    "three-state-transition": (lambda: Fsm(["1"], ["1"], {"1": "a"}, [("1", "1", "1")]),
+                               "a transition is a pair of states"),
+    "unorderable-states": (lambda: Fsm(["1", 2], ["1"], {"1": "a", 2: "a"}, []),
+                           "must be collections of string state ids"),
+    "replace-initial-by-int": (lambda: Fsm(["1"], ["1"], {"1": "a"}, []).replace(initial=5),
+                               "must be collections of string state ids"),
+    "one-state-pair": (lambda: PairRelation.from_pairs(Universe(["1"]), [("1",)]),
+                       "a pair has two states"),
+    "string-horizon": (lambda: Horizon("5"), "horizon length must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("call, message", MALFORMED_CALLS.values(), ids=MALFORMED_CALLS.keys())
+def test_malformed_library_arguments_are_usage_errors(call, message):
+    with pytest.raises(UsageError, match=re.escape(message)):
+        call()
 
 
 
