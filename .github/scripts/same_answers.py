@@ -35,12 +35,16 @@ outputs with the silent output ``_`` erased.  On each fixture
 ``check FILE --property P --json`` also runs with ``--initial`` and
 ``--critical`` overrides, some naming a declared state and some not, for P
 in eventual, diag and parametric, the last two reading the restriction of
-the overridden machine.  Last,
+the overridden machine.  Then
 ``validate FILE --json`` and ``check FILE --property eventual --json`` run
 on each file of a malformed corpus written to the temporary directory: one
 text per way the loader refuses a file, a file that is not UTF-8 and an
-empty file.  Each tree runs all of them in one Python process with that
-tree on the path and its own working directory, calling
+empty file.  Last, ``check FILE --property P --json`` for the eight
+properties and ``sets FILE --json --steps`` run on a wide fan written there:
+a live machine whose hub has 16 successors and 16 predecessors, so the
+shrink engine counts supports in two-byte fields, which no fixture and no
+seed-1 workload machine needs.  Each tree runs all of them in one Python
+process with that tree on the path and its own working directory, calling
 ``fsmdiag.cli.main`` per command and capturing its exit code, stdout,
 stderr and the text of each file it names after ``-o`` or
 ``--provenance``.  Prints every command on which the two differ; exits 1
@@ -125,6 +129,21 @@ OVERRIDDEN = ("eventual", "diag", "parametric")
 # fixtures on which no observed property holds as declared, with a critical
 # set under which all four do, so that their traces reach the estimator
 RECRITICAL = {"fork.fsm": "2"}
+
+
+def wide_fan():
+    """The text of a live machine whose hub h, the one initial state, has
+    16 a-labelled successors and 16 predecessors.  Spoke k returns to h
+    through a chain of k % 4 b-states, and the spokes with k % 4 == 1 are
+    critical.  (h, h) has 16 x 16 = 256 supports in Pi, a two-byte count
+    whose low byte is 0."""
+    lines, trans = ["fsm v1", "state h output=h init"], []
+    for k in range(16):
+        chain = ["s%02d" % k] + ["s%02d_%d" % (k, d) for d in range(k % 4)]
+        lines.append("state %s output=a%s" % (chain[0], " critical" if k % 4 == 1 else ""))
+        lines += ["state %s output=b" % s for s in chain[1:]]
+        trans += [("h", chain[0])] + list(zip(chain, chain[1:])) + [(chain[-1], "h")]
+    return "\n".join(lines + ["trans %s %s" % t for t in trans]) + "\n"
 
 
 def fixtures():
@@ -262,6 +281,11 @@ def commands(tmp):
         with open(path, "wb") as fh:
             fh.write(data)
         runs += [["validate", path, "--json"], ["check", path, "--property", "eventual", "--json"]]
+    path = os.path.join(tmp, "wide-fan.fsm")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(wide_fan())
+    runs += [["check", path, "--property", p, "--json"] for p in PROPERTIES]
+    runs.append(["sets", path, "--json", "--steps"])
     return runs
 
 

@@ -307,8 +307,7 @@ def check_eventual(a: Analysis) -> DiagVerdict:
                     "backward-maskable and forward-maskable",
                     lambda: _frontier(PairRelation.full(a.m.universe),
                                       b=a.b, f=a.f, g=a.gam, l=a.lam),
-                    pin=lambda: (a.b.convergence_step,
-                                 max(a.f.removal_steps(a.s.fixed_point).values(), default=1)))
+                    pin=lambda: (a.b.convergence_step, a.f.last_change(a.s.fixed_point)))
 
 
 def check_critical(a: Analysis) -> DiagVerdict:

@@ -124,6 +124,8 @@ class Estimator:
         self.events = []
         # state sets at steps k - d .. k, each narrowed by the whole stream
         self._window = deque(maxlen=self.lag + 1)
+        # the newest set, window[-1]; None before the first symbol
+        self._last = None
         # no event before this step: the threshold, or never once a
         # one-shot session has reported
         self._quiet = self.threshold
@@ -135,13 +137,14 @@ class Estimator:
 
     def step(self, y) -> "DiagnosisEvent | None":
         """Consume one output symbol; return a detection event, if any."""
-        window, k = self._window, self.k
-        keep, cur = self._advance(window[-1] if k else None, y)
+        keep, cur = self._advance(self._last, y)
         if not cur:
             raise InconsistentObservationError(
                 "no execution of the machine produces this output stream")
+        window = self._window
         window.append(cur)
-        self.k = k = k + 1
+        self._last = cur
+        self.k = k = self.k + 1
         if keep is not None and len(window) > 1:
             # the newest older set loses the states with no y-successor;
             # each older set then loses the states with no successor left

@@ -29,10 +29,15 @@ The four shrinking recursions share one counter engine, ``_shrink``, in the
 manner of AC-4 arc consistency.  Each pair's supports are counted once, as
 the integer matrix C = N . R_1 . N^T (N the 0/1 neighbour matrix), formed a
 row at a time on big integers with w-byte fields, w the least power of two
-that holds deg^2 for the largest neighbour count deg.  Removals then proceed
-layer by layer, so every pair leaves at the same step as in the synchronous
-recursion while the propagation is O(edges of the pair graph).  Memory is a
-flag byte and a w-byte count per pair.
+that holds deg^2 for the largest neighbour count deg.  The first removal
+layer, the pairs of R_1 counted 0 in ascending order, is read off the
+buffers the counts were formed in: the product ANDs the flag bytes with
+each field byte plane's zero test as byte-per-pair integers and finds the
+1-bytes, and the cone's search lists the pairs it counts 0 and sorts them
+once.  Removals then proceed layer by layer, so every pair leaves at the
+same step as in the synchronous recursion while the propagation is
+O(edges of the pair graph).  Memory is a flag byte and a w-byte count per
+pair.
 
 Every property reads its relations on the mixed pairs only (one critical
 and one non-critical state, in either order: ``Fsm.mixed``), except
@@ -77,7 +82,9 @@ def _search(flags: bytearray, start: list, n: int, nbr, count=None,
     level by level, ``start`` first, each level in discovery order: for
     each pair of the level before in turn, N(i) then N(j).  Given ``count``,
     one field per pair, each reached pair's supports, the pairs of
-    N(i) x N(j) flagged 1 or 2, are counted there.  O(reached x deg^2).
+    N(i) x N(j) flagged 1 or 2, are counted there, and the reached pairs
+    counted 0 are returned in place of the levels, ascending: on the
+    engine's cone, its first removal layer.  O(reached x deg^2).
 
     ``mirrored`` is the symmetric mode, for flags and a ``start`` that are
     closed under transposition: swapping i and j maps the pair graph onto
@@ -94,6 +101,7 @@ def _search(flags: bytearray, start: list, n: int, nbr, count=None,
     # the pairs expanded, one per orbit when mirrored; otherwise ``levels``
     # itself, so that a level appended to it is both read and returned
     todo = [[p for p in start if p // n <= p % n]] if mirrored else levels
+    unsupported = []
     for level in todo:          # grows while it is read, one level per step
         nxt = []
         twins = []
@@ -117,10 +125,15 @@ def _search(flags: bytearray, start: list, n: int, nbr, count=None,
                                 twins.append(t)
             if count is not None:
                 count[p] = c
+                if not c:
+                    unsupported.append(p)
         if nxt:
             todo.append(nxt)
             if mirrored:
                 levels.append(nxt + twins)
+    if count is not None:
+        unsupported.sort()
+        return unsupported
     return levels
 
 
@@ -185,34 +198,49 @@ def _field_width(nbr) -> int:
 
 
 def _support_counts(flags: bytearray, n: int, nbr):
-    """Every pair's supports inside R_1 as ``(counts, w)``: the matrix
-    C = N . R_1 . N^T, N the 0/1 neighbour matrix and R_1 given as one flag
-    byte per pair, stored row-major in w-byte fields of the machine's byte
-    order (w from :func:`_field_width`).  Each product is n * deg big-int
-    additions; the transposes are strided byte slices."""
+    """Every pair's supports inside R_1 as ``(counts, w, unsupported)``: the
+    matrix C = N . R_1 . N^T, N the 0/1 neighbour matrix and R_1 given as
+    one flag byte per pair, stored row-major in w-byte fields of the
+    machine's byte order (w from :func:`_field_width`), and the pairs of
+    R_1 counted 0, ascending.  Each product is n * deg big-int additions;
+    the transposes are strided byte slices.  The pairs counted 0 are the
+    1-bytes of the flags ANDed with each field byte plane's zero test, all
+    read as integers of one byte per pair, and are found with
+    ``bytes.find``."""
     w = _field_width(nbr)
     buf = bytearray(n * n * w)                  # R_1^T
     buf[0 if sys.byteorder == "little" else w - 1::w] = transposed(flags, n)
     half = _row_sums(buf, n, w, nbr)            # N . R_1^T = (R_1 . N^T)^T
     for k in range(w):                          # R_1 . N^T, a byte at a time
         buf[k::w] = transposed(half[k::w], n)
-    return _row_sums(buf, n, w, nbr), w
+    counts = _row_sums(buf, n, w, nbr)
+    zero = int.from_bytes(flags, "little")
+    for k in range(w):          # a field is 0 when each of its bytes is
+        zero &= int.from_bytes(counts[k::w].translate(_IS_ZERO), "little")
+    zero = zero.to_bytes(n * n, "little")
+    unsupported = []
+    p = zero.find(1)
+    while p >= 0:
+        unsupported.append(p)
+        p = zero.find(1, p + 1)
+    return counts, w, unsupported
 
 
 def _cone_counts(first: PairRelation, within: PairRelation, n: int, nbr):
     """The cone of ``within`` (pairs of R_1): the pairs reachable from it
     along supports (pairs of N(i) x N(j) inside R_1), as
-    ``(flags, counts, w)``: one flag byte per pair, set on the cone, and
-    each cone pair's supports in the w-byte fields of
-    :func:`_support_counts`, 0 off the cone.  The cone is the breadth-first
-    search of R_1 from ``within`` (:func:`_search`), which counts each
-    pair's supports as it visits it, in O(cone x deg^2)."""
+    ``(flags, counts, w, unsupported)``: one flag byte per pair, set on the
+    cone, each cone pair's supports in the w-byte fields of
+    :func:`_support_counts`, 0 off the cone, and the cone pairs counted 0,
+    ascending.  The cone is the breadth-first search of R_1 from
+    ``within`` (:func:`_search`), which counts each pair's supports as it
+    visits it and lists those it counts 0, in O(cone x deg^2)."""
     w = _field_width(nbr)
     counts = bytearray(n * n * w)
     flags = bit_flags(first.bits, n * n)        # 1 in R_1, 2 in the cone
-    _search(flags, bit_indices(within.bits), n, nbr,
-            memoryview(counts).cast(_FIELD[w]))
-    return flags.translate(_REACHED), counts, w
+    unsupported = _search(flags, bit_indices(within.bits), n, nbr,
+                          memoryview(counts).cast(_FIELD[w]))
+    return flags.translate(_REACHED), counts, w, unsupported
 
 
 def _shrink(m: Fsm, first: PairRelation, forward: bool,
@@ -223,7 +251,9 @@ def _shrink(m: Fsm, first: PairRelation, forward: bool,
     A counter engine in the manner of AC-4 arc consistency.  Each pair of
     R_1 has as count its supports, the pairs of N(i) x N(j) inside R_1,
     read off the matrix product N . R_1 . N^T (:func:`_support_counts`).
-    The pairs of R_1 with count 0 form the removal layer of step 2.  A layer
+    The pairs of R_1 with count 0 form the removal layer of step 2, in
+    ascending order; the counter lists them off the buffers it counted
+    into, so no bitset is decoded for them.  A layer
     is marked dead as a whole; then every dead pair (a, b) takes one support
     from each live pair of B(a) x B(b), B being the reverse of N, and the
     pairs whose count reaches 0 form the next layer.  A pair is thus removed
@@ -236,7 +266,8 @@ def _shrink(m: Fsm, first: PairRelation, forward: bool,
     those.  When the pair graph is subcritical
     (``Fsm.pair_branching`` below 1), so that few pairs are reachable from
     any given ones, the engine runs on the cone of ``within`` cap R_1 only
-    (:func:`_cone_counts`) and returns the series seeded at R_1 cap cone.
+    (:func:`_cone_counts`), whose search lists the cone pairs it counts 0
+    as it counts them, and returns the series seeded at R_1 cap cone.
     The cone holds every support of its pairs, so each cone pair has the
     same count, is removed by the same dead pairs in the same order, and
     leaves at the same step and at the same place in its layer as in the
@@ -252,16 +283,13 @@ def _shrink(m: Fsm, first: PairRelation, forward: bool,
     if within is not None:
         within &= first
     if within is not None and m.pair_branching < 1:
-        alive, counts, w = _cone_counts(first, within, n, nbr)
+        alive, counts, w, unsupported = _cone_counts(first, within, n, nbr)
         first = PairRelation(m.universe, flag_bits(alive))
     else:
         alive = bit_flags(first.bits, n * n)
-        counts, w = _support_counts(alive, n, nbr)
-    unsupported = first.bits
-    for k in range(w):          # a field is 0 when each of its bytes is
-        unsupported &= flag_bits(counts[k::w].translate(_IS_ZERO))
+        counts, w, unsupported = _support_counts(alive, n, nbr)
     count = memoryview(counts).cast(_FIELD[w])
-    layers = [bit_indices(unsupported)] if unsupported else []
+    layers = [unsupported] if unsupported else []
     for layer in layers:        # grows while it is read, one layer per step
         for p in layer:
             alive[p] = 0

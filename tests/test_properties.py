@@ -230,24 +230,27 @@ def assert_shrink_matches_reference(m, seed, forward):
                               for (i, j) in steps[k - 2] - steps[k - 1]}
     changed = [p for layer in series.layers for p in layer]
     assert len(set(changed)) == len(changed)
+    # the first layer is read off the count buffers in ascending pair order
+    if series.layers:
+        assert series.layers[0] == sorted(series.layers[0])
 
 
-def hub_machine():
-    """A hub h with 20 a-labelled successors and 20 b-labelled predecessors.
-    Successor k leads into a chain of k % 4 more a-states that dead-ends,
-    and predecessor k is reached through a chain of k % 4 more b-states from
-    a source; the last chain of each side ends (resp. starts) in a loop, so
-    one support of (h, h) lasts in each direction.  Every b-state is
-    initial and the first successor is critical."""
+def hub_machine(size=20):
+    """A hub h with ``size`` a-labelled successors and ``size`` b-labelled
+    predecessors.  Successor k leads into a chain of k % 4 more a-states
+    that dead-ends, and predecessor k is reached through a chain of k % 4
+    more b-states from a source; the last chain of each side ends (resp.
+    starts) in a loop, so one support of (h, h) lasts in each direction.
+    Every b-state is initial and the first successor is critical."""
     label, trans = {"h": "h"}, []
-    for k in range(20):
+    for k in range(size):
         succ = ["s%02d" % k] + ["s%02d_%d" % (k, d) for d in range(k % 4)]
         pred = ["p%02d" % k] + ["p%02d_%d" % (k, d) for d in range(k % 4)]
         label.update({s: "a" for s in succ})
         label.update({p: "b" for p in pred})
         trans += [("h", succ[0]), (pred[0], "h")]
         trans += list(zip(succ, succ[1:])) + [(b, a) for a, b in zip(pred, pred[1:])]
-        if k == 19:
+        if k == size - 1:
             trans += [(succ[-1], succ[-1]), (pred[-1], pred[-1])]
     initial = [s for s, y in label.items() if y == "b"]
     return Fsm(label, initial, label, trans, ["s00"])
@@ -275,6 +278,16 @@ def test_shrink_counts_wider_than_a_byte(forward, which):
     step = m.succ if forward else m.pre
     assert sum((a, b) in seed for a in step("h") for b in step("h")) > 255
     assert_shrink_matches_reference(m, seed, forward)
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_shrink_count_with_a_zero_low_byte(forward):
+    # (h, h) has 16 x 16 = 256 supports in Pi: a two-byte count whose low
+    # byte is 0, so only its high byte shows that the pair is supported
+    m = hub_machine(16)
+    step = m.succ if forward else m.pre
+    assert sum((a, b) in m.pi for a in step("h") for b in step("h")) == 256
+    assert_shrink_matches_reference(m, m.pi, forward)
 
 
 @given(analysis_machines(max_states=7, outputs="abc"))
@@ -452,6 +465,12 @@ def test_frontier_and_headline_against_brute_force(m):
         mp = m.replace(initial=m.initial | m.critical) if prop == "initial-obs" else m
         a = Analysis(mp)
         v = check(mp, prop, a)
+        if prop == "eventual":
+            # f*, scanned off F's layers from the last one back, is the
+            # latest step at which F removes a pair of S*
+            s_star = a.s.fixed_point
+            assert a.f.last_change(s_star) == max(a.f.removal_steps(s_star).values(),
+                                                  default=1)
         if not v.holds:
             continue
         frontier = _brute_frontier(*_scan(a, prop))
