@@ -10,11 +10,10 @@ from .errors import (BudgetExceededError, FsmDiagError,
                      PreconditionError, UsageError)
 from .fixpoint import b_series, f_series, gamma_series, lambda_series, s_series
 from .model import (EPSILON, Fsm, ValidationReport, Violation,
-                    build_restricted, crossing_index, enumerate_executions,
-                    fsm_to_text, is_execution, load_fsm, output_of, parse_fsm,
-                    validate)
+                    build_restricted, crossing_index, fsm_to_text,
+                    is_execution, load_fsm, output_of, parse_fsm, validate)
 from .oracle import (Counterexample, Horizon, OracleOutcome, check_definition,
-                     enum_relation, minimal_params)
+                     enum_relation, enumerate_executions, minimal_params)
 from .relations import FixpointSeries, PairRelation, Universe, product_relation
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / property holds, 1 property fails or validation
-violations, 2 usage or parse error, 3 resource (budget) exhaustion.
+violations, 2 usage or parse error, 3 resource exhaustion: the budget that
+``FSMDIAG_BUDGET`` sets for every brute-force search, or memory.
 """
 
 from __future__ import annotations
@@ -364,8 +365,9 @@ def main(argv=None):
     except (ParseError, UsageError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except BudgetExceededError as exc:
-        print("resource limit: %s" % exc, file=sys.stderr)
+    except (BudgetExceededError, MemoryError) as exc:
+        # a MemoryError carries no message
+        print("resource limit: %s" % (str(exc) or "out of memory"), file=sys.stderr)
         return 3
     except FsmDiagError as exc:
         print("error: %s" % exc, file=sys.stderr)

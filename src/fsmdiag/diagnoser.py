@@ -165,7 +165,8 @@ class Estimator:
         if est <= self._critical:
             window = (pin, pin)
         else:
-            window = (max(1, pin - (self.g - 1)), pin + self.l - 1)
+            # k >= threshold, so pin >= max(b, g) >= g: the window starts at 1 or later
+            window = (pin - self.g + 1, pin + self.l - 1)
         # events come in increasing pin order and an event's window ends by
         # its pin + l - 1, so only the last l events can contain this window
         for e in reversed(self.events):

@@ -8,29 +8,16 @@ silent-state removal pass.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import BudgetExceededError, ParseError, PreconditionError, UsageError
+from .errors import ParseError, PreconditionError, UsageError
 from .relations import PairRelation, Universe, product_relation
 
 #: Reserved token for the silent (null) output.
 EPSILON = "_"
-
-DEFAULT_BUDGET = 5_000_000
-
-
-def _budget(explicit: Optional[int]) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("FSMDIAG_BUDGET")
-    try:
-        return int(env) if env else DEFAULT_BUDGET
-    except ValueError:
-        raise UsageError("FSMDIAG_BUDGET must be an integer, not %r" % env) from None
 
 
 def _is_token(s) -> bool:
@@ -457,25 +444,3 @@ def build_restricted(m: Fsm) -> Fsm:
                    critical=m.critical, label=m.label, outputs=m.outputs, pi=m.pi)
     r._set_trans(t for t in m.trans if t[0] not in m.critical)
     return r
-
-
-def enumerate_executions(m: Fsm, sources: Iterable[str], length: int,
-                         budget: Optional[int] = None):
-    """All executions of exactly ``length`` states starting in ``sources``."""
-    if length < 1:
-        raise UsageError("execution length must be >= 1")
-    cap = _budget(budget)
-    for s in sources:
-        if s not in m.label:
-            raise UsageError("unknown state %r" % (s,))
-    frontier = [(s,) for s in sorted(set(sources))]
-    for _ in range(length - 1):
-        nxt = []
-        for path in frontier:
-            for t in sorted(m.succ(path[-1])):
-                nxt.append(path + (t,))
-                if len(nxt) > cap:
-                    raise BudgetExceededError(
-                        "more than %d executions of length %d" % (cap, length))
-        frontier = nxt
-    return frontier

@@ -5,7 +5,8 @@ bounded search over pairs of executions (with memoized existence queries, no
 fixed-point algebra), and the diagnosability properties are decided by an
 exhaustive breadth-first exploration of executions up to a finite horizon.
 Results about infinite behaviour are therefore reported as
-"consistent-up-to-horizon", never as proved.
+"consistent-up-to-horizon", never as proved.  Each search, and the plain
+listing of executions, draws on one budget of work (``_Budget``).
 
 Because analysis-mode machines have no silent states, two equal-length
 executions have the same output string exactly when their outputs agree
@@ -14,12 +15,13 @@ position by position; the searches below rely on that.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .checker import DiagParams, PropertyKind
 from .errors import BudgetExceededError, UsageError
-from .model import Fsm, _budget, validate
+from .model import Fsm, validate
 from .relations import PairRelation
 
 
@@ -27,7 +29,6 @@ from .relations import PairRelation
 class Horizon:
     """Bounded truncation of the for-all-steps quantifiers."""
     length: int
-    budget: Optional[int] = None
 
     def __post_init__(self):
         if not isinstance(self.length, int) or self.length < 1:
@@ -35,14 +36,44 @@ class Horizon:
 
 
 class _Budget:
-    def __init__(self, cap):
-        self.cap = _budget(cap)
+    """The work one brute-force search may do: ``FSMDIAG_BUDGET`` units,
+    5 000 000 when unset.  A search spends one unit per configuration or
+    node it expands and per execution it builds, and raises
+    BudgetExceededError past the cap."""
+
+    def __init__(self):
+        env = os.environ.get("FSMDIAG_BUDGET")
+        try:
+            self.cap = int(env) if env else 5_000_000
+        except ValueError:
+            raise UsageError("FSMDIAG_BUDGET must be an integer, not %r" % env) from None
         self.used = 0
 
-    def spend(self, n=1):
-        self.used += n
+    def spend(self):
+        self.used += 1
         if self.used > self.cap:
             raise BudgetExceededError("oracle budget of %d operations exceeded" % self.cap)
+
+
+def enumerate_executions(m: Fsm, sources: Iterable[str], length: int):
+    """All executions of exactly ``length`` states starting in ``sources``,
+    spending one unit of the budget per execution of two or more states
+    built."""
+    if length < 1:
+        raise UsageError("execution length must be >= 1")
+    bud = _Budget()
+    for s in sources:
+        if s not in m.label:
+            raise UsageError("unknown state %r" % (s,))
+    frontier = [(s,) for s in sorted(set(sources))]
+    for _ in range(length - 1):
+        nxt = []
+        for path in frontier:
+            for t in sorted(m.succ(path[-1])):
+                bud.spend()
+                nxt.append(path + (t,))
+        frontier = nxt
+    return frontier
 
 
 def _joint_exists(m, i, j, k, step, within, avoid, memo, budget):
@@ -88,8 +119,7 @@ def _joint_exists(m, i, j, k, step, within, avoid, memo, budget):
 
 
 def enum_relation(m: Fsm, which: str, k: int,
-                  sigma: Optional[PairRelation] = None,
-                  budget: Optional[int] = None) -> PairRelation:
+                  sigma: Optional[PairRelation] = None) -> PairRelation:
     """Compute one of the five pair relations at step k from its definition.
 
     ``which`` is one of S, F, B, Lambda, Gamma.  B needs the seed relation as
@@ -102,7 +132,7 @@ def enum_relation(m: Fsm, which: str, k: int,
         raise UsageError("step index must be >= 1")
     if which in ("B", "Lambda", "Gamma") and sigma is None:
         raise UsageError("relation %s needs a seed relation" % which)
-    bud = _Budget(budget)
+    bud = _Budget()
     states = m.states
     omega = m.critical
     pi = PairRelation.from_pairs(m.universe, [(i, j) for i in states for j in states
@@ -192,13 +222,14 @@ def check_definition(m: Fsm, prop, params, h: Horizon) -> OracleOutcome:
     crossed, the partner states compatible with the outputs so far,
     stratified by how many trailing steps they have avoided the critical set,
     and one tracker per applicable crossing whose partner is neither
-    confirmed nor refuted yet.
+    confirmed nor refuted yet.  The loop stops at the first empty level,
+    since every later level would be empty too.
     """
     validate(m, "analysis").require()
     first_only = PropertyKind.parse(prop).first_only
     tau, delta = params.tau, params.delta
     g1, g2 = params.gamma1, params.gamma2
-    bud = _Budget(h.budget)
+    bud = _Budget()
     omega, label = m.critical, m.label
     succ = {v: sorted(m.succ(v)) for v in m.states}
     succ[None] = sorted(m.initial)
@@ -213,11 +244,13 @@ def check_definition(m: Fsm, prop, params, h: Horizon) -> OracleOutcome:
 
     spawned = False
     # config: (u, crossed, chain, trackers); chain[j] = partner states whose
-    # last j steps avoided the critical set; trackers = ((set, age), ...), the
-    # partner states of a crossing age steps back, which avoid the critical
-    # set while age <= gamma2.  levels[k] maps each configuration after k
-    # steps to its parent.
-    root = (None, False, (frozenset([None]),) * (g1 + 2), ())
+    # last j steps avoided the critical set, and after k steps the chain
+    # stops at j = min(k, gamma1 + 1), since every longer stretch would hold
+    # the same states; a crossing at step k reads the chain's last set.  trackers =
+    # ((set, age), ...), the partner states of a crossing age steps back,
+    # which avoid the critical set while age <= gamma2.  levels[k] maps each
+    # configuration after k steps to its parent.
+    root = (None, False, (frozenset([None]),), ())
     levels = [{root: None}]
     for k in range(1, h.length + 1):
         nxt = {}
@@ -230,12 +263,11 @@ def check_definition(m: Fsm, prop, params, h: Horizon) -> OracleOutcome:
             for u2 in succ[u]:
                 y = label[u2]
                 new_chain = [advance(chain[0], y, False)]
-                for j in range(1, g1 + 2):
-                    new_chain.append(advance(chain[j - 1], y, True))
+                new_chain += [advance(c, y, True) for c in chain[:g1 + 1]]
                 pending = [(advance(t, y, age < g2), age + 1) for t, age in trackers]
                 if u2 in omega and k >= tau + 1 and not (first_only and crossed):
                     spawned = True
-                    pending.append((new_chain[min(g1 + 1, k)], 0))
+                    pending.append((new_chain[-1], 0))
                 live = [(t, age) for t, age in pending if t]
                 if live and any(age == delta for _, age in live):
                     x = [u2]
@@ -248,6 +280,8 @@ def check_definition(m: Fsm, prop, params, h: Horizon) -> OracleOutcome:
                 ncfg = (u2, crossed or u2 in omega, tuple(new_chain), tuple(sorted(live)))
                 if ncfg not in nxt:
                     nxt[ncfg] = cfg
+        if not nxt:     # every later level would be empty too
+            break
         levels.append(nxt)
     return OracleOutcome("consistent-up-to-horizon" if spawned else "not-applicable")
 

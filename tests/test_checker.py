@@ -209,6 +209,19 @@ class TestCritical:
         assert all(check(m, p, a) is v for p, v in verdicts.items())
         assert len(calls) == 2
 
+    def test_eventual_transient_enters_delay_and_gamma1(self):
+        # eventual's transient, 3, exceeds its delay and gamma1 and diag's
+        # delay, so it sets both composed values: delta = gamma2 =
+        # max(tau_e, delta_e, delta_diag) and gamma1 = max(tau_e, gamma1_e)
+        m = random_live_fsm(random.Random(0), 6, 3)
+        a = Analysis(m)
+        ev, dg = check(m, "eventual", a).params, check(m, "diag", a).params
+        assert (ev.tau, ev.delta, ev.gamma1, dg.delta) == (3, 1, 0, 1)
+        p = check(m, "critical", a).params
+        assert (p.tau, p.delta, p.gamma1, p.gamma2) == (0, 3, 3, 3)
+        out = check_definition(m, "critical", p, Horizon(2 * len(m.states) + 8))
+        assert out.status == "consistent-up-to-horizon"
+
     def test_conjunction(self, m1, m2, m2_single, fork):
         for m in (m1, m2, m2_single, fork):
             both = check(m, "diag").holds and check(m, "eventual").holds

@@ -2,16 +2,18 @@ import functools
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from fsmdiag import (FixpointSeries, PairRelation, Universe, checker, cli, load_fsm,
-                     parse_fsm)
+from fsmdiag import (FixpointSeries, PairRelation, Universe, checker, cli, fixpoint,
+                     load_fsm, parse_fsm)
 from fsmdiag.cli import main
 from fsmdiag.epsremoval import max_silent_length
 from fsmdiag.fixpoint import ProjectedSeries
@@ -22,6 +24,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def bounded_run(capsys, *argv):
+    """``run``'s outcome and wall time, once a child process has given the
+    same outcome under a 20 s timeout and a 1 GiB address space.  So a
+    command that never ends, or whose memory grows without bound, fails
+    the test without stalling the suite or exhausting the host."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-m", "fsmdiag.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=20, preexec_fn=cap)
+    assert "Traceback" not in done.stderr, done.stderr
+    start = time.perf_counter()
+    outcome = run(capsys, *argv)
+    elapsed = time.perf_counter() - start
+    assert outcome == (done.returncode, done.stdout, done.stderr)
+    return outcome, elapsed
 
 
 FIXTURE_FILES = sorted(os.path.join(FIXTURES, f)
@@ -425,6 +445,35 @@ class TestOracle:
         assert code == 1
         assert "--params" in err
 
+    def test_gamma1_past_the_horizon(self, capsys):
+        # no window within horizon 8 reaches back further than gamma1 = 7's,
+        # so the partner sets the search keeps stop growing there
+        argv = ["oracle", M1, "--property", "diag", "--horizon", "8", "--params"]
+        (code, out, err), elapsed = bounded_run(capsys, *argv, "0,3,5000000,0")
+        assert elapsed < 1
+        assert (code, err) == (1, "")
+        assert out.splitlines()[1:] == ["execution: 3 4 6 2 (crossing at step 1)",
+                                        "partner:   5 4 6 2"]
+        assert run(capsys, *argv, "0,3,7,0")[1].splitlines()[1:] == out.splitlines()[1:]
+
+    def test_parameters_past_any_index(self, capsys):
+        code, out, err = run(capsys, "oracle", M1, "--property", "eventual-obs",
+                             "--horizon", str(10 ** 20), "--params", "0,3,%d,0" % 10 ** 30)
+        assert (code, err) == (1, "")
+        assert out.splitlines()[0].endswith("violated")
+
+    def test_search_ends_at_the_first_empty_level(self, capsys, monkeypatch):
+        # from states 1 and 2 every execution of m2 has crossed by step 3,
+        # and parametric follows first crossings only, so no configuration
+        # is left to expand and none spends the budget
+        monkeypatch.setenv("FSMDIAG_BUDGET", "2000")
+        (code, out, err), elapsed = bounded_run(
+            capsys, "oracle", M2, "--initial", "1,2", "--property", "parametric",
+            "--horizon", str(10 ** 20))
+        assert elapsed < 1
+        assert (code, err) == (0, "")
+        assert out.endswith(": consistent-up-to-horizon\n")
+
 
 def test_round_trip_via_serializer(tmp_path):
     m = load_fsm(M2)
@@ -537,6 +586,13 @@ def test_exit_paths(capsys, monkeypatch, tmp_path, text, argv, budget, code, mes
     assert run(capsys, verb, str(path), *rest) == (code, "", message + "\n")
 
 
+def test_out_of_memory_exits_3(capsys):
+    # a MemoryError carries no message, so the CLI names the limit itself
+    with mock.patch.object(fixpoint, "_search", side_effect=MemoryError):
+        assert run(capsys, "check", M2, "--property", "diag") == (
+            3, "", "resource limit: out of memory\n")
+
+
 @st.composite
 def corrupted_fixtures(draw):
     """A fixture file with a few bytes flipped, inserted or deleted."""
@@ -565,6 +621,92 @@ def test_corrupted_files_exit_cleanly(capsys, tmp_path, data):
                  ["desilent", str(path), "-o", str(tmp_path / "out.fsm")]):
         code, _, _ = run(capsys, *argv)
         assert code in (0, 1, 2)
+
+
+#: tokens with a meaning to the loader or none: a comment mark, the silent
+#: output, a byte-order mark and non-ASCII text
+ODD_TOKENS = ("#", "_", "\ufeff", "é", "状态", "output=_", "init", "critical")
+
+
+@st.composite
+def mangled_fixtures(draw):
+    """A fixture's text with lines dropped, duplicated and swapped, odd
+    tokens put into lines, and perhaps a leading byte-order mark.  Most
+    edits make a file the loader refuses, so a third of the texts have none."""
+    with open(draw(st.sampled_from(FIXTURE_FILES)), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    for _ in range(draw(st.sampled_from((0, 0, 1, 1, 2, 4)))):
+        if not lines:
+            break
+        i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("drop", "duplicate", "swap", "token")))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(j, lines[i])
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            words = lines[i].split()
+            words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(ODD_TOKENS)))
+            lines[i] = " ".join(words)
+    return draw(st.sampled_from(("", "\ufeff"))) + "\n".join(lines) + "\n"
+
+
+#: small integers, -1 among them, and integers past any index
+wide_integers = (st.integers(-1, 12) | st.integers(0, 10 ** 30)
+                 | st.sampled_from((2 ** 63, 10 ** 30)))
+
+
+@st.composite
+def cli_arguments(draw, path, out_dir):
+    """One command line of any verb on ``path``, with its options drawn."""
+    verb = draw(st.sampled_from(("validate", "sets", "check", "desilent", "observe",
+                                 "oracle", "oracle")))
+    argv = [verb, str(path)]
+    states = st.lists(st.sampled_from(("1", "2", "3", "4", "1", "2", "3", "4", "z", "é", "_")),
+                      max_size=3).map(",".join)
+    for flag in ("--initial", "--critical"):
+        if draw(st.sampled_from((False, False, True))):
+            argv += [flag, draw(states)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    prop = ["--property", draw(st.sampled_from([k.value for k in checker.PropertyKind]))]
+    if verb == "validate":
+        argv += ["--mode", draw(st.sampled_from(("analysis", "desilent")))]
+    elif verb == "sets":
+        argv += draw(st.sampled_from(([], ["--steps"], ["--set", "Lambda"])))
+    elif verb == "check":
+        argv += prop
+    elif verb == "desilent":
+        argv += ["-o", str(out_dir / "out.fsm")]
+        argv += draw(st.sampled_from(([], ["--provenance", str(out_dir / "prov.json")])))
+    elif verb == "observe":
+        trace = st.lists(st.sampled_from(("a", "b", "c", "z", "_", "é")), max_size=6)
+        argv += prop + ["--trace", " ".join(draw(trace))]
+    else:
+        argv += prop + ["--horizon", str(draw(wide_integers))]
+        if draw(st.booleans()):
+            argv += ["--params", ",".join(str(draw(wide_integers)) for _ in range(4))]
+    return argv
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_command_ends_in_a_documented_exit_code(capsys, tmp_path, data):
+    path = tmp_path / "mangled.fsm"
+    path.write_text(data.draw(mangled_fixtures()), encoding="utf-8")
+    argv = data.draw(cli_arguments(path, tmp_path))
+    with mock.patch.dict(os.environ, FSMDIAG_BUDGET="300"):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse refusing the command line
+            code = exc.code
+    _, err = capsys.readouterr()
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    if code in (2, 3):
+        assert err.startswith(("error:", "resource limit:", "usage:")), (argv, err)
 
 
 # ASCII letters, JSON escapes, control characters and non-ASCII text

@@ -82,6 +82,16 @@ class TestStep:
         assert est.k == 1
         assert est.current_estimate() == {"1"}
 
+    def test_estimate_equal_to_the_critical_set_is_exact(self):
+        # eventual holds with (b, f, g, l) = (1, 1, 1, 2): at step 2 the
+        # estimate of step 1 is {2}, the whole critical set, so the window is
+        # that one step, not [1, 2]
+        m = Fsm("12", "2", {"1": "a", "2": "a"}, [("1", "2"), ("2", "1"), ("2", "2")],
+                critical="2")
+        v = check(m, "eventual")
+        assert v.bfgl == (1, 1, 1, 2)
+        assert observe(m, v, ["a", "a"])[1] == [diagnoser.DiagnosisEvent(2, (1, 1), True)]
+
     def test_inconsistent_stream(self, m1, m1_verdict):
         est = Estimator(m1, m1_verdict)
         est.step("c")

@@ -264,10 +264,6 @@ class TestExecutions:
         with pytest.raises(UsageError):
             enumerate_executions(m1, m1.initial, 0)
 
-    def test_enumerate_budget(self, m1):
-        with pytest.raises(BudgetExceededError):
-            enumerate_executions(m1, m1.initial, 10, budget=5)
-
     def test_budget_env_override(self, m1, monkeypatch):
         monkeypatch.setenv("FSMDIAG_BUDGET", "5")
         with pytest.raises(BudgetExceededError):

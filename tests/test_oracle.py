@@ -62,10 +62,10 @@ class TestEnumRelation:
                 enum_relation(silent_machine, which, k)
             assert str(exc.value) == message
 
-    def test_budget(self, m2):
-        a = Analysis(m2)
+    def test_budget(self, m2, monkeypatch):
+        monkeypatch.setenv("FSMDIAG_BUDGET", "3")
         with pytest.raises(BudgetExceededError):
-            enum_relation(m2, "F", 8, budget=3)
+            enum_relation(m2, "F", 8)
 
     def test_budget_independent_of_hash_seed(self):
         # the search stops at the first joint successor it finds, so which
@@ -76,8 +76,8 @@ class TestEnumRelation:
             "from fsmdiag import Analysis, load_fsm\n"
             "budgets = []\n"
             "class Recorded(oracle._Budget):\n"
-            "    def __init__(self, cap):\n"
-            "        super().__init__(cap)\n"
+            "    def __init__(self):\n"
+            "        super().__init__()\n"
             "        budgets.append(self)\n"
             "oracle._Budget = Recorded\n"
             "m = load_fsm(sys.argv[1])\n"
@@ -157,10 +157,10 @@ class TestCheckDefinition:
                                Horizon(8))
         assert out.status == "not-applicable"
 
-    def test_budget(self, m2):
+    def test_budget(self, m2, monkeypatch):
+        monkeypatch.setenv("FSMDIAG_BUDGET", "5")
         with pytest.raises(BudgetExceededError):
-            check_definition(m2, "eventual", DiagParams(0, 2, None, 1, 1),
-                             Horizon(14, budget=5))
+            check_definition(m2, "eventual", DiagParams(0, 2, None, 1, 1), Horizon(14))
 
     def test_refuses_machine_outside_analysis_assumptions(self, silent_machine):
         # the search reads equal-length executions with equal outputs as

@@ -1,6 +1,7 @@
 """Property-based tests over randomly generated machines."""
 
 import itertools
+import os
 import random
 from functools import cached_property
 from unittest import mock
@@ -621,6 +622,7 @@ def test_event_windows_hold_a_crossing_on_every_execution(m, picks):
         v = check(m, prop)
         if v.holds:
             for ev in observe(m, v, symbols)[1]:
+                assert ev.window[0] >= 1, (prop, ev)
                 assert not avoids_window(m, symbols[:ev.detected_at], *ev.window), (prop, ev)
 
 
@@ -630,8 +632,9 @@ def test_eventual_obs_params_pass_the_definition(m):
     v = check(m, "eventual-obs")
     assume(v.holds)
     try:
-        out = check_definition(m, "eventual-obs", v.params,
-                               Horizon(v.params.tau + 2 * len(m.states) + 2, budget=200_000))
+        with mock.patch.dict(os.environ, FSMDIAG_BUDGET="200000"):
+            out = check_definition(m, "eventual-obs", v.params,
+                                   Horizon(v.params.tau + 2 * len(m.states) + 2))
     except BudgetExceededError:
         assume(False)
     assert not out.violated, (m, v.params, out.counterexample)
